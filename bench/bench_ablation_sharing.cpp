@@ -1,14 +1,14 @@
 // Ablation: the §7 peer-sharing extension — measurement cost vs group size.
 //
 // For household groups of 1..8 devices behind one /24, one device runs the
-// idle-time trials and the pool trains everyone. Reported: DNS exchanges
-// per device to reach a full training window, and how many devices end up
-// with a qualified assimilation subnet.
+// idle-time trials and every device's engine observes them. Reported: DNS
+// exchanges per device to reach a full training window, and how many
+// devices end up with a qualified assimilation subnet.
 #include <iostream>
 
 #include "analysis/render.hpp"
 #include "bench_common.hpp"
-#include "core/peer_share.hpp"
+#include "core/decision.hpp"
 
 using namespace drongo;
 
@@ -26,20 +26,16 @@ int main() {
   std::vector<std::vector<std::string>> cells;
   for (int devices : {1, 2, 4, 8}) {
     measure::TrialRunner runner(&testbed, 0xFA0 + static_cast<std::uint64_t>(devices));
-    core::PeerSharePool pool;
-    const auto group = core::share_group_key(testbed.world(), testbed.clients()[0],
-                                             core::ShareScope::kSlash24);
     std::vector<std::unique_ptr<core::DecisionEngine>> engines;
     for (int d = 0; d < devices; ++d) {
       engines.push_back(std::make_unique<core::DecisionEngine>(params, 100 + d));
-      pool.join(group, engines.back().get());
     }
     const auto before = testbed.dns_network().exchange_count();
     std::string domain;
     for (int t = 0; t < window; ++t) {
       auto trial = runner.run(0, 0, t * 12.0, 0);
       domain = trial.domain;
-      pool.publish(group, trial);
+      for (auto& engine : engines) engine->observe(trial);
     }
     const auto exchanges = testbed.dns_network().exchange_count() - before;
     int qualified = 0;
@@ -49,7 +45,7 @@ int main() {
     cells.push_back({std::to_string(devices), std::to_string(exchanges),
                      analysis::fmt(static_cast<double>(exchanges) / devices, 1),
                      std::to_string(qualified) + "/" + std::to_string(devices),
-                     std::to_string(pool.trials_saved())});
+                     std::to_string((devices - 1) * window)});
   }
   std::cout << analysis::render_table(
       "Cost to fill one training window",

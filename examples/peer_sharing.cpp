@@ -4,14 +4,13 @@
 //   $ ./peer_sharing [devices] [seed]
 //
 // Simulates a household/office /24 with several devices. One device runs
-// the idle-time trials; every device's Drongo fills its windows from the
-// shared pool. The output compares measurement cost and decisions with and
-// without sharing.
+// the idle-time trials; every device's Drongo observes each of them. The
+// output compares measurement cost and decisions with and without sharing.
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 
 #include "core/drongo.hpp"
-#include "core/peer_share.hpp"
 #include "measure/testbed.hpp"
 
 using namespace drongo;
@@ -49,23 +48,21 @@ int main(int argc, char** argv) {
 
   // With sharing: one device measures, all observe.
   const auto queries_before_shared = network.exchange_count();
-  core::PeerSharePool pool;
-  const auto group = core::share_group_key(testbed.world(), testbed.clients()[0],
-                                           core::ShareScope::kSlash24);
+  const auto group = net::Prefix(testbed.clients()[0], 24).to_string();
   std::vector<std::unique_ptr<core::DecisionEngine>> shared_engines;
   for (int d = 0; d < devices; ++d) {
     shared_engines.push_back(std::make_unique<core::DecisionEngine>(params, seed + d));
-    pool.join(group, shared_engines.back().get());
   }
   for (int t = 0; t < window; ++t) {
-    pool.publish(group, runner.run(0, 0, 100.0 + t * 12.0, 0));
+    const auto trial = runner.run(0, 0, 100.0 + t * 12.0, 0);
+    for (auto& engine : shared_engines) engine->observe(trial);
   }
   const auto shared_queries = network.exchange_count() - queries_before_shared;
 
   std::cout << devices << " devices in " << group << ", window " << window << ":\n";
   std::cout << "  without sharing: " << solo_queries << " DNS exchanges\n";
   std::cout << "  with sharing:    " << shared_queries << " DNS exchanges ("
-            << pool.trials_saved() << " peer trials saved)\n";
+            << std::max(devices - 1, 0) * window << " peer trials saved)\n";
   std::cout << "  reduction:       "
             << (solo_queries == 0
                     ? 0.0

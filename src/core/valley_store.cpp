@@ -14,16 +14,6 @@ namespace {
 
 constexpr double kRatioTick = 1e6;
 
-std::uint64_t stripe_hash(const std::string& key) {
-  // FNV-1a: deterministic across runs and platforms, unlike std::hash.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::string routing_cluster_key(topology::World& world, net::Ipv4Addr client,
@@ -72,7 +62,8 @@ bool valley_share_from_env() {
 struct ValleyStore::Stripe {
   mutable std::mutex mutex;
   /// cluster -> domain (canonical) -> pooled subnet aggregates.
-  std::map<std::string, std::map<std::string, net::LpmTrie<Aggregate>>> clusters;
+  std::map<std::string, std::map<std::string, std::map<net::Prefix, Aggregate>>>
+      clusters;
   ValleyStoreStats stats;
 };
 
@@ -97,7 +88,7 @@ ValleyStore::ValleyStore(ValleyStoreParams params, std::size_t stripes)
 ValleyStore::~ValleyStore() = default;
 
 ValleyStore::Stripe& ValleyStore::stripe_of(const std::string& cluster) const {
-  return *stripes_[static_cast<std::size_t>(stripe_hash(cluster) % stripes_.size())];
+  return *stripes_[net::stripe_hash(cluster) % stripes_.size()];
 }
 
 void ValleyStore::bump(std::uint64_t ValleyStoreStats::* field, const char* name,
@@ -121,18 +112,16 @@ void ValleyStore::contribute(const std::string& cluster,
   Stripe& stripe = stripe_of(cluster);
   std::lock_guard lock(stripe.mutex);
   DRONGO_STORE_BUMP(contributions);
-  auto& domain_tries = stripe.clusters[cluster][net::to_lower(trial.domain)];
+  auto& subnets = stripe.clusters[cluster][net::to_lower(trial.domain)];
   for (const auto& hop : trial.hops) {
     if (!hop.usable) continue;
     const auto ratio = latency_ratio(trial, hop, params_.convention);
     if (!ratio) continue;
-    Aggregate* agg = domain_tries.find(hop.subnet);
-    if (agg == nullptr) agg = domain_tries.insert(hop.subnet, Aggregate{});
-    ++agg->observations;
-    agg->ratio_ticks +=
-        static_cast<std::uint64_t>(std::llround(*ratio * kRatioTick));
+    Aggregate& agg = subnets[hop.subnet];
+    ++agg.observations;
+    agg.ratio_ticks += static_cast<std::uint64_t>(std::llround(*ratio * kRatioTick));
     if (is_valley(*ratio, params_.valley_threshold)) {
-      ++agg->valleys;
+      ++agg.valleys;
       DRONGO_STORE_BUMP(valley_observations);
     }
   }
@@ -149,20 +138,20 @@ std::optional<net::Prefix> ValleyStore::choose(const std::string& cluster,
   if (cit != stripe.clusters.end()) {
     const auto dit = cit->second.find(net::to_lower(domain));
     if (dit != cit->second.end()) {
-      // Strictly-greater keeps the FIRST walk-order subnet on ties: the
-      // trie's canonical order stands in for DecisionEngine's RNG
+      // Strictly-greater keeps the FIRST subnet in map order on ties: the
+      // (network, length) order stands in for DecisionEngine's RNG
       // tie-break, because shared knowledge must choose identically for
       // every cluster member on every thread.
-      dit->second.walk([&](const net::Prefix& subnet, const Aggregate& agg) {
-        if (agg.observations < params_.min_observations) return;
+      for (const auto& [subnet, agg] : dit->second) {
+        if (agg.observations < params_.min_observations) continue;
         const double vf = static_cast<double>(agg.valleys) /
                           static_cast<double>(agg.observations);
-        if (vf < params_.min_valley_frequency || vf <= 0.0) return;
+        if (vf < params_.min_valley_frequency || vf <= 0.0) continue;
         if (vf > best_vf) {
           best_vf = vf;
           best = subnet;
         }
-      });
+      }
     }
   }
   if (best) {
@@ -182,7 +171,7 @@ std::vector<ValleyStore::Candidate> ValleyStore::candidates(
   if (cit == stripe.clusters.end()) return out;
   const auto dit = cit->second.find(net::to_lower(domain));
   if (dit == cit->second.end()) return out;
-  dit->second.walk([&](const net::Prefix& subnet, const Aggregate& agg) {
+  for (const auto& [subnet, agg] : dit->second) {
     Candidate c;
     c.subnet = subnet;
     c.observations = agg.observations;
@@ -199,7 +188,7 @@ std::vector<ValleyStore::Candidate> ValleyStore::candidates(
                   c.valley_frequency >= params_.min_valley_frequency &&
                   c.valley_frequency > 0.0;
     out.push_back(c);
-  });
+  }
   return out;
 }
 
@@ -228,8 +217,8 @@ std::size_t ValleyStore::tracked_subnets() const {
   for (const auto& stripe : stripes_) {
     std::lock_guard lock(stripe->mutex);
     for (const auto& [cluster, domains] : stripe->clusters) {
-      for (const auto& [domain, trie] : domains) {
-        total += trie.size();
+      for (const auto& [domain, subnets] : domains) {
+        total += subnets.size();
       }
     }
   }

@@ -1,14 +1,13 @@
 // Crowd-shared valley knowledge base (the paper's §7 "crowd-sourced
-// Drongo" direction, one step past peer_share's same-subnet pooling).
+// Drongo" direction).
 //
-// peer_share trains every member engine with every published trial — full
-// fidelity, but the pool must hold borrowed engine pointers and the win is
-// bounded by one subnet's population. This store flips the data flow:
-// clients *contribute* their trials into a shared knowledge base keyed by a
+// Clients *contribute* their trials into a shared knowledge base keyed by a
 // routing-similarity cluster, and any client in the cluster *consults* it at
 // resolution time when its own training windows are not yet conclusive. One
 // training window's worth of measurements then amortizes across every
-// routing-congruent client, whether or not they share a subnet.
+// routing-congruent client, whether or not they share a subnet. The cluster
+// key is any string: DrongoClient::share_via joins a cluster, after which
+// every trial the client observes is also contributed here.
 //
 // Clusters come from routing_cluster_key(): clients whose valley-free BGP
 // paths toward the provider landmarks traverse the same first transit ASes
@@ -20,13 +19,13 @@
 // commutative integer aggregate {observations, valleys, ratio_ticks} — pure
 // sums, no windows, no ordering — so any interleaving of contribute() calls
 // from any number of threads produces the same store state, and choose() is
-// a pure function of that state (no RNG tie-breaks; the radix trie's
-// canonical walk order breaks ties). Campaign telemetry with the store on is
+// a pure function of that state (no RNG tie-breaks; the subnets' (network,
+// length) map order breaks ties). Campaign telemetry with the store on is
 // therefore byte-identical at --threads 1 and 8.
 //
-// Concurrency: clusters are striped over independently locked shards (FNV-1a
-// of the cluster key, the same deterministic striping the serving cache
-// uses), so contributors in different clusters never contend.
+// Concurrency: clusters are striped over independently locked shards
+// (net::stripe_hash of the cluster key, the same deterministic striping the
+// serving cache uses), so contributors in different clusters never contend.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +38,6 @@
 
 #include "core/valley.hpp"
 #include "measure/trial.hpp"
-#include "net/lpm.hpp"
 #include "net/prefix.hpp"
 #include "obs/metrics.hpp"
 #include "obs/schema.hpp"
@@ -112,7 +110,7 @@ class ValleyStore {
   /// The cluster's best assimilation subnet for `domain`, or nullopt when
   /// no subnet has both `min_observations` pooled ratios and a valley
   /// frequency of at least vf. Highest valley frequency wins; ties go to
-  /// the first subnet in the trie's canonical walk order (deterministic, no
+  /// the first subnet in (network, length) map order (deterministic, no
   /// RNG — unlike DecisionEngine, whose windows are client-private).
   std::optional<net::Prefix> choose(const std::string& cluster,
                                     const std::string& domain);
@@ -127,7 +125,7 @@ class ValleyStore {
     bool qualified = false;
   };
 
-  /// All pooled subnets for (cluster, domain) in canonical trie order.
+  /// All pooled subnets for (cluster, domain) in (network, length) order.
   [[nodiscard]] std::vector<Candidate> candidates(const std::string& cluster,
                                                   const std::string& domain) const;
 

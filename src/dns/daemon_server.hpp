@@ -11,12 +11,6 @@
 // negative caching, hedging, and CoDel shedding apply unchanged), and
 // truncated to the client's advertised payload per RFC 1035 — with a TCP
 // acceptor on listener 0 carrying the length-prefixed retry path.
-//
-// Naming note: this class is the *network* daemon. The older
-// `core::DrongoDaemon` (src/core/daemon.hpp) is the in-process
-// clock-driven *trial scheduler* on the client side of the paper's
-// pipeline; the two share nothing but the word. Grep-friendly rule:
-// `DaemonServer` listens on sockets, `DrongoDaemon` schedules trials.
 #pragma once
 
 #include <atomic>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "net/strings.hpp"
+
 namespace drongo::dns {
 
 struct ShardedDnsCache::Flight::State {
@@ -35,13 +37,7 @@ ShardedDnsCache::ShardedDnsCache(std::size_t shards, std::size_t max_entries) {
 ShardedDnsCache::~ShardedDnsCache() = default;
 
 std::size_t ShardedDnsCache::shard_index_of(const std::string& canonical) const {
-  // FNV-1a: deterministic across runs and platforms, unlike std::hash.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : canonical) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<std::size_t>(h % shards_.size());
+  return static_cast<std::size_t>(net::stripe_hash(canonical) % shards_.size());
 }
 
 ShardedDnsCache::Shard& ShardedDnsCache::shard_of(const std::string& canonical) const {

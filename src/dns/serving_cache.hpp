@@ -2,10 +2,10 @@
 //
 // One DnsCache behind one mutex serializes every client of a busy resolver.
 // This wrapper stripes the key space over N independently locked shards
-// (keyed by a deterministic FNV-1a hash of the canonical qname, so a name's
-// scope family always lands in one shard and the longest-match scan stays
-// local), and adds singleflight coalescing: when many clients ask for the
-// same (qname, ECS subnet) at once, exactly one — the leader — performs the
+// (keyed by net::stripe_hash of the canonical qname, so a name's scope
+// family always lands in one shard and the longest-match scan stays local),
+// and adds singleflight coalescing: when many clients ask for the same
+// (qname, ECS subnet) at once, exactly one — the leader — performs the
 // upstream exchange while the rest block until the leader publishes, then
 // reuse its answer. That is the classic thundering-herd defence a
 // production recursive needs the moment a hot name's TTL lapses.

@@ -1,6 +1,7 @@
 // Small string helpers shared across libraries.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,5 +24,19 @@ bool domain_has_suffix(std::string_view name, std::string_view suffix);
 /// per the paper's hop filter; our simulated reverse-DNS names have
 /// two-label operator domains, so the heuristic is exact here.
 std::string registrable_domain(std::string_view name);
+
+/// Deterministic lock-stripe hash for string keys (unlike std::hash, stable
+/// across runs and platforms). The loop is FNV-1a's, but the offset basis
+/// is 1469598103934665603, not FNV-1a's 14695981039346656037
+/// (0xCBF29CE484222325); it is kept because shard and stripe assignment
+/// depend on it.
+inline std::uint64_t stripe_hash(std::string_view key) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : key) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 }  // namespace drongo::net

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/drongo.hpp"
-#include "core/peer_share.hpp"
 #include "measure/testbed.hpp"
 #include "net/error.hpp"
 #include "obs/metrics.hpp"
@@ -98,9 +97,9 @@ TEST(ValleyStoreTest, HighestValleyFrequencyWinsTiesGoToWalkOrder) {
   params.min_observations = 2;
   params.min_valley_frequency = 0.5;
   ValleyStore store(params);
-  // kFlatSubnet: vf 1/2. kValleySubnet: vf 2/2 -> wins despite later walk
-  // position (10.7 < 10.9 so kValleySubnet walks first anyway; also check
-  // a true tie below).
+  // kFlatSubnet: vf 1/2. kValleySubnet: vf 2/2 -> wins on frequency
+  // (10.7 < 10.9 so kValleySubnet comes first in map order anyway; also
+  // check a true tie below).
   store.contribute("c1", make_trial("img.cdn", kFlatSubnet, 100.0, 50.0));
   store.contribute("c1", make_trial("img.cdn", kFlatSubnet, 100.0, 120.0));
   store.contribute("c1", make_trial("img.cdn", kValleySubnet, 100.0, 50.0));
@@ -109,7 +108,7 @@ TEST(ValleyStoreTest, HighestValleyFrequencyWinsTiesGoToWalkOrder) {
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(*choice, kValleySubnet);
 
-  // A true tie (both vf = 1.0): the first subnet in canonical trie walk
+  // A true tie (both vf = 1.0): the first subnet in (network, length) map
   // order wins, deterministically.
   ValleyStore tied(params);
   tied.contribute("c1", make_trial("img.cdn", kFlatSubnet, 100.0, 50.0));
@@ -170,17 +169,29 @@ TEST(ValleyStoreTest, DrongoClientFallsBackToCrowdKnowledge) {
                    .has_value());
 }
 
-TEST(ValleyStoreTest, PeerSharePoolBridgesIntoStore) {
+TEST(ValleyStoreTest, DrongoClientObserveContributesAfterShareVia) {
   ValleyStore store(quick_params());
-  PeerSharePool pool;
-  pool.attach_store(&store);
-  // Publishing into an empty group still feeds the shared store: the pool
-  // is the ingestion seam even when no engine joined the group yet.
+  DrongoClient member;
+  // Before joining, observed trials stay private to the client's engine.
+  member.observe(make_trial("img.cdn", kValleySubnet, 100.0, 50.0));
+  EXPECT_EQ(store.stats().contributions, 0u);
+
+  // After share_via, every observed trial also lands in the cluster.
+  member.share_via(&store, "cluster-a");
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(pool.publish("group-1", make_trial("img.cdn", kValleySubnet, 100.0, 50.0)),
-              0u);
+    member.observe(make_trial("img.cdn", kValleySubnet, 100.0, 50.0));
   }
-  EXPECT_TRUE(store.choose("group-1", "img.cdn").has_value());
+  EXPECT_EQ(store.stats().contributions, 3u);
+  const auto pooled = store.candidates("cluster-a", "img.cdn");
+  ASSERT_EQ(pooled.size(), 1u);
+  EXPECT_EQ(pooled[0].observations, 3u);
+  EXPECT_EQ(store.choose("cluster-a", "img.cdn"), kValleySubnet);
+  EXPECT_FALSE(store.choose("cluster-b", "img.cdn").has_value());
+
+  // Leaving stops the flow again.
+  member.share_via(nullptr, "");
+  member.observe(make_trial("img.cdn", kValleySubnet, 100.0, 50.0));
+  EXPECT_EQ(store.stats().contributions, 3u);
 }
 
 TEST(ValleyStoreTest, RoutingClusterKeyGroupsByTransitPath) {

@@ -16,10 +16,6 @@
 // different server. The bound ports are printed on stdout (`udp port N` /
 // `tcp port N`) so scripts and tests can discover ephemeral binds, and the
 // final `dns.server.*` counter snapshot is printed at exit.
-//
-// Naming note: this binary runs dns::DaemonServer, the network daemon.
-// The older core::DrongoDaemon is the client-side trial scheduler from the
-// paper's pipeline and has no socket; see src/core/daemon.hpp.
 #include <signal.h>
 
 #include <cstdlib>
