@@ -1,6 +1,8 @@
 // Failure injection: how every layer behaves when the network misbehaves.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/drongo.hpp"
 #include "dns/proxy.hpp"
 #include "measure/testbed.hpp"
@@ -120,6 +122,10 @@ struct FaultCase {
   const char* name;
   dns::FaultProfile (*profile)();  ///< built lazily, at test run time
 };
+
+// Print the policy name, not the struct's bytes: discovered test names carry
+// the printed parameter, and pointers would rename the cases on every build.
+void PrintTo(const FaultCase& fault, std::ostream* os) { *os << fault.name; }
 
 class FaultMatrixTest : public ::testing::TestWithParam<FaultCase> {};
 

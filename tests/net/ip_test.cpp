@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <unordered_set>
 
 #include "net/error.hpp"
@@ -35,6 +37,12 @@ TEST(Ipv4AddrTest, ParseValid) {
 struct BadAddress {
   const char* text;
 };
+
+// Print the text, not the struct's bytes: discovered test names carry the
+// printed parameter, and a pointer would rename the cases on every build.
+void PrintTo(const BadAddress& bad, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(bad.text));
+}
 
 class Ipv4ParseRejects : public ::testing::TestWithParam<BadAddress> {};
 
