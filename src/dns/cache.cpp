@@ -1,5 +1,6 @@
 #include "dns/cache.hpp"
 
+#include <iterator>
 #include <utility>
 
 namespace drongo::dns {
@@ -21,12 +22,12 @@ void DnsCache::bump_lpm(std::uint64_t LpmStats::* field, const char* name,
 #define DRONGO_CACHE_BUMP(field) bump(&CacheStats::field, #field)
 #define DRONGO_LPM_BUMP(field, ...) bump_lpm(&LpmStats::field, #field, ##__VA_ARGS__)
 
-void DnsCache::erase_from_trie(const std::string& canonical_qname,
-                               const net::IpPrefix& scope) {
-  const auto it = names_.find(canonical_qname);
-  it->second.erase(scope);
+void DnsCache::erase_entry(NameMap::iterator trie, LruList::iterator lru_position) {
+  trie->second.erase(lru_position->key.second);
   DRONGO_LPM_BUMP(erases);
-  if (it->second.empty()) names_.erase(it);
+  if (trie->second.empty()) names_.erase(trie);
+  by_expiry_.erase(lru_position->expiry_position);
+  lru_.erase(lru_position);
   --size_;
 }
 
@@ -51,8 +52,8 @@ std::optional<DnsCache::Entry> DnsCache::lookup(const std::string& canonical_qna
   for (const auto& match : chain) {
     if (match.value->entry.expiry_ms <= now_ms) {
       DRONGO_CACHE_BUMP(expired);
-      lru_.erase(match.value->lru_position);
-      erase_from_trie(canonical_qname, match.prefix);
+      // When this empties the trie, no chain entry is left to visit.
+      erase_entry(nit, match.value->lru_position);
       continue;
     }
     lru_.splice(lru_.begin(), lru_, match.value->lru_position);
@@ -70,7 +71,12 @@ std::optional<DnsCache::Entry> DnsCache::lookup(const std::string& canonical_qna
 void DnsCache::store(Key key, Entry entry, std::uint64_t now_ms) {
   if (const auto nit = names_.find(key.first); nit != names_.end()) {
     if (Stored* existing = nit->second.find(key.second); existing != nullptr) {
-      // Refresh in place: newer answer wins, recency bumps.
+      // Refresh in place: newer answer wins, recency bumps, and the entry
+      // moves to its new expiry in the index.
+      LruNode& node = *existing->lru_position;
+      auto index_node = by_expiry_.extract(node.expiry_position);
+      index_node.key() = entry.expiry_ms;
+      node.expiry_position = by_expiry_.insert(std::move(index_node));
       existing->entry = std::move(entry);
       lru_.splice(lru_.begin(), lru_, existing->lru_position);
       return;
@@ -80,15 +86,17 @@ void DnsCache::store(Key key, Entry entry, std::uint64_t now_ms) {
   while (size_ >= max_entries_ && !lru_.empty()) {
     // Still full after dropping the dead: evict the least recently used.
     DRONGO_CACHE_BUMP(evictions);
-    const Key victim = lru_.back();
-    lru_.pop_back();
-    erase_from_trie(victim.first, victim.second);
+    const auto victim = std::prev(lru_.end());
+    erase_entry(names_.find(victim->key.first), victim);
   }
   // (Re-)resolve the trie only now: purge/evict above may have erased this
   // qname's (momentarily empty) trie from the map.
   ScopeTrie& trie = names_[key.first];
-  lru_.push_front(key);
-  trie.insert(key.second, Stored{std::move(entry), lru_.begin()});
+  LruNode& node = lru_.emplace_front(LruNode{std::move(key), {}});
+  // Expiries mostly arrive in ascending order, so hint at the back.
+  node.expiry_position =
+      by_expiry_.emplace_hint(by_expiry_.end(), entry.expiry_ms, &node.key);
+  trie.insert(node.key.second, Stored{std::move(entry), lru_.begin()});
   DRONGO_LPM_BUMP(inserts);
   ++size_;
 }
@@ -121,25 +129,11 @@ void DnsCache::note_foreign_family_drop() {
 }
 
 void DnsCache::purge(std::uint64_t now_ms) {
-  for (auto nit = names_.begin(); nit != names_.end();) {
-    // Collect-then-erase: walk() iterates the trie, so erasing mid-walk is
-    // off the table; the lru iterator is snapshotted alongside.
-    std::vector<std::pair<net::IpPrefix, std::list<Key>::iterator>> dead;
-    nit->second.walk([&](const net::IpPrefix& scope, const Stored& stored) {
-      if (stored.entry.expiry_ms <= now_ms) dead.emplace_back(scope, stored.lru_position);
-    });
-    for (const auto& [scope, lru_position] : dead) {
-      DRONGO_CACHE_BUMP(expired);
-      DRONGO_LPM_BUMP(erases);
-      lru_.erase(lru_position);
-      nit->second.erase(scope);
-      --size_;
-    }
-    if (nit->second.empty()) {
-      nit = names_.erase(nit);
-    } else {
-      ++nit;
-    }
+  while (!by_expiry_.empty() && by_expiry_.begin()->first <= now_ms) {
+    const Key& key = *by_expiry_.begin()->second;
+    const auto nit = names_.find(key.first);
+    DRONGO_CACHE_BUMP(expired);
+    erase_entry(nit, nit->second.find(key.second)->lru_position);
   }
 }
 

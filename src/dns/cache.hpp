@@ -57,8 +57,9 @@ struct CacheStats {
 /// match wins, so a scope-zero answer can never shadow a tailored one.
 ///
 /// Entries may be negative (NXDOMAIN / NODATA, empty address set, the rcode
-/// preserved) and are evicted strictly least-recently-used when the cache is
-/// full. Expired entries are erased as lookups walk over them, so `size()`
+/// preserved). When an insert finds the cache full, every dead entry is
+/// dropped first, then live ones are evicted strictly least-recently-used.
+/// Expired entries are also erased as lookups walk over them, so `size()`
 /// counts live entries only.
 ///
 /// Scope matching is a radix LPM trie per qname (net::IpLpmTrie): a lookup
@@ -68,6 +69,14 @@ struct CacheStats {
 /// entries are erased as the descent passes over them; entries for the name
 /// that don't lie on the client's bit path die at purge()/insert pressure
 /// instead (they were never scanned, so there is nothing to walk over).
+///
+/// Every live entry sits in three structures kept in step: its qname's
+/// trie, the recency list, and an expiry index ordered by `expiry_ms`.
+/// Each recency node holds the entry's position in the expiry index, so
+/// eviction unlinks the victim from all three without searching; purge()
+/// pops dead entries off the front of the index, so an insert into a full
+/// cache costs O(log n) plus O(log n + prefix bits) per entry it removes,
+/// never a walk of the whole cache.
 ///
 /// Qnames are canonicalized (DNS names are case-insensitive, RFC 1035) once
 /// at the cache boundary: the DnsName overloads derive the canonical form,
@@ -89,6 +98,10 @@ class DnsCache {
   };
 
   explicit DnsCache(std::size_t max_entries = 4096) : max_entries_(max_entries) {}
+  // The tries and the expiry index point into lru_'s nodes, which a copy
+  // would not re-aim.
+  DnsCache(const DnsCache&) = delete;
+  DnsCache& operator=(const DnsCache&) = delete;
 
   /// Looks up the most specific answer usable for `client_subnet` at time
   /// `now_ms`. Entries whose `expiry_ms <= now_ms` are dead: they miss (an
@@ -122,7 +135,9 @@ class DnsCache {
   void insert_negative(std::string canonical_qname, const net::IpPrefix& scope,
                        Rcode rcode, std::uint32_t ttl_seconds, std::uint64_t now_ms);
 
-  /// Drops expired entries (also invoked opportunistically on insert).
+  /// Drops every entry with `expiry_ms <= now_ms` (also invoked by an
+  /// insert into a full cache). Pops them off the front of the expiry
+  /// index: O(log n + prefix bits) per dead entry, O(1) when none is dead.
   void purge(std::uint64_t now_ms);
 
   /// Tallies an ECS scope the cache cannot represent (a family other than
@@ -141,25 +156,36 @@ class DnsCache {
 
  private:
   using Key = std::pair<std::string, net::IpPrefix>;  // canonical name + scope net
+  /// Live entries by expiry_ms, each pointing at its key in the lru_ node.
+  using ExpiryIndex = std::multimap<std::uint64_t, const Key*>;
+
+  struct LruNode {
+    Key key;
+    ExpiryIndex::iterator expiry_position;
+  };
+  using LruList = std::list<LruNode>;
 
   struct Stored {
     Entry entry;
     /// Position in lru_ (most-recent at front), spliced on every touch.
-    std::list<Key>::iterator lru_position;
+    LruList::iterator lru_position;
   };
   /// One radix trie of cached scopes per canonical qname.
   using ScopeTrie = net::IpLpmTrie<Stored>;
+  using NameMap = std::map<std::string, ScopeTrie>;
 
   void store(Key key, Entry entry, std::uint64_t now_ms);
-  /// Removes (name, scope) from its trie (erasing the trie when it empties)
-  /// and decrements size_. The caller has already unlinked the lru node.
-  void erase_from_trie(const std::string& canonical_qname, const net::IpPrefix& scope);
+  /// Removes the entry at `lru_position`, whose qname's trie is `trie`, from
+  /// the trie (erasing the trie when it empties), the expiry index and lru_,
+  /// and decrements size_.
+  void erase_entry(NameMap::iterator trie, LruList::iterator lru_position);
   void bump(std::uint64_t CacheStats::* field, const char* name);
   void bump_lpm(std::uint64_t LpmStats::* field, const char* name, std::uint64_t delta = 1);
 
-  std::map<std::string, ScopeTrie> names_;
-  std::size_t size_ = 0;  ///< live entries across all tries
-  std::list<Key> lru_;    ///< recency order: front = most recently used
+  NameMap names_;
+  std::size_t size_ = 0;     ///< live entries across all tries
+  LruList lru_;              ///< recency order: front = most recently used
+  ExpiryIndex by_expiry_;    ///< soonest expiry first
   std::size_t max_entries_;
   CacheStats stats_;
   obs::Registry* registry_ = nullptr;  // borrowed; optional telemetry mirror

@@ -13,10 +13,13 @@ namespace drongo::dns {
 
 namespace {
 
-/// FNV-1a over (source, destination, query bytes): the same per-exchange
-/// stream selector scheme FaultyTransport uses, under a different seed, so
-/// a hedge decision is a pure function of what was sent — never of which
-/// thread sent it or when.
+/// An FNV-1a-style hash over (source, destination, query bytes): the same
+/// per-exchange stream selector scheme FaultyTransport uses, under a
+/// different seed, so a hedge decision is a pure function of what was sent —
+/// never of which thread sent it or when. The loop is FNV-1a's, but the
+/// offset basis is 1469598103934665603, not FNV-1a's 14695981039346656037
+/// (0xCBF29CE484222325); it is kept because the hedge selectors, and so the
+/// hedging bench outputs, depend on it.
 std::uint64_t exchange_hash(net::Ipv4Addr source, net::Ipv4Addr destination,
                             std::span<const std::uint8_t> query) {
   std::uint64_t h = 1469598103934665603ULL;

@@ -202,6 +202,87 @@ TEST(DnsCacheLifecycleTest, ReinsertRefreshesInsteadOfDuplicating) {
   EXPECT_EQ(hit->addresses.front(), net::Ipv4Addr(5, 5, 5, 5));
 }
 
+// --- Expiry index: purge() pops dead entries in expiry order ---------------
+
+TEST(DnsCacheExpiryIndexTest, LengthenedRefreshSurvivesPurgeAtOldExpiry) {
+  DnsCache cache;
+  cache.insert(kName, P("10.1.2.0/24"), {net::Ipv4Addr(1, 1, 1, 1)}, 10, 0);
+  cache.insert(kName, P("10.1.2.0/24"), {net::Ipv4Addr(2, 2, 2, 2)}, 30, 5'000);
+  cache.purge(10'000);  // the first insert's expiry
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().expired, 0u);
+  const auto hit = cache.lookup(kName, P("10.1.2.0/24"), 34'999);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->addresses.front(), net::Ipv4Addr(2, 2, 2, 2));
+}
+
+TEST(DnsCacheExpiryIndexTest, ShortenedRefreshDiesAtNewExpiry) {
+  DnsCache cache;
+  cache.insert(kName, P("10.1.2.0/24"), {net::Ipv4Addr(1, 1, 1, 1)}, 30, 0);
+  cache.insert(kName, P("10.1.2.0/24"), {net::Ipv4Addr(2, 2, 2, 2)}, 5, 1'000);
+  cache.purge(5'999);
+  EXPECT_EQ(cache.size(), 1u);
+  cache.purge(6'000);  // expiry_ms == now is dead
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().expired, 1u);
+  EXPECT_FALSE(cache.lookup(kName, P("10.1.2.0/24"), 6'000).has_value());
+}
+
+TEST(DnsCacheExpiryIndexTest, LookupErasedEntryIsNotPurgedAgain) {
+  DnsCache cache;
+  cache.insert(kName, P("10.1.2.0/24"), {net::Ipv4Addr(1, 1, 1, 1)}, 1, 0);
+  cache.insert(DnsName::must_parse("other.x"), P("0.0.0.0/0"),
+               {net::Ipv4Addr(2, 2, 2, 2)}, 2, 0);
+  // The lookup passes over the dead /24 and erases it...
+  EXPECT_FALSE(cache.lookup(kName, P("10.1.2.0/24"), 1'500).has_value());
+  EXPECT_EQ(cache.stats().expired, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  // ...so a purge past both expiries counts only the other entry.
+  cache.purge(3'000);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().expired, 2u);
+  EXPECT_EQ(cache.stats().lpm.erases, 2u);
+}
+
+TEST(DnsCacheExpiryIndexTest, PurgeAcrossQnamesKeepsSurvivorsLruOrder) {
+  DnsCache cache(/*max_entries=*/5);
+  const auto a = DnsName::must_parse("a.x");
+  const auto b = DnsName::must_parse("b.x");
+  const auto c = DnsName::must_parse("c.x");
+  const auto d = DnsName::must_parse("d.x");
+  cache.insert(c, P("10.1.2.0/24"), {net::Ipv4Addr(3, 3, 3, 3)}, 10, 0);  // 10'000
+  cache.insert(a, P("0.0.0.0/0"), {net::Ipv4Addr(1, 1, 1, 1)}, 10, 0);    // 10'000
+  cache.insert(a, P("10.0.0.0/8"), {net::Ipv4Addr(1, 0, 0, 0)}, 1, 0);    // 1'000
+  cache.insert(b, P("0.0.0.0/0"), {net::Ipv4Addr(2, 2, 2, 2)}, 1, 0);     // 1'000
+  cache.insert(d, P("0.0.0.0/0"), {net::Ipv4Addr(4, 4, 4, 4)}, 5, 0);     // 5'000
+  // Touch c: recency (oldest first) is now a/0, a/8, b, d, c — not the
+  // insertion order.
+  ASSERT_TRUE(cache.lookup(c, P("10.1.2.0/24"), 1).has_value());
+
+  cache.purge(5'000);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().expired, 3u);
+  EXPECT_EQ(cache.stats().lpm.erases, 3u);
+
+  // Refill to capacity with later-expiring entries, then overflow twice:
+  // the survivors must leave in their recency order, a/0 before c.
+  for (const char* name : {"e.x", "f.x", "g.x"}) {
+    cache.insert(DnsName::must_parse(name), P("0.0.0.0/0"), {net::Ipv4Addr(5, 5, 5, 5)},
+                 100, 5'001);
+  }
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  cache.insert(DnsName::must_parse("h.x"), P("0.0.0.0/0"), {net::Ipv4Addr(6, 6, 6, 6)},
+               100, 5'001);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_FALSE(cache.lookup(a, P("10.9.9.0/24"), 5'002).has_value());
+  cache.insert(DnsName::must_parse("i.x"), P("0.0.0.0/0"), {net::Ipv4Addr(7, 7, 7, 7)},
+               100, 5'002);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_FALSE(cache.lookup(c, P("10.1.2.0/24"), 5'003).has_value());
+  EXPECT_EQ(cache.size(), 5u);
+  EXPECT_EQ(cache.stats().expired, 3u);
+}
+
 TEST(DnsCacheNegativeTest, NegativeEntriesRoundTrip) {
   DnsCache cache;
   cache.insert_negative(kName, P("0.0.0.0/0"), Rcode::kNxDomain, 30, 0);

@@ -264,8 +264,9 @@ TEST(BogonTest, V4TableMirrorsIsGlobalUnicastExactly) {
   for (const auto& range : kBogonRangesV4) {
     check(range.bits);
     check(range.bits - 1);
+    // A /32 has no host bits; shifting a 32-bit value by 32 is undefined.
     const std::uint32_t span =
-        range.length == 0 ? ~std::uint32_t{0} : (~std::uint32_t{0} >> range.length);
+        range.length == 32 ? 0 : (~std::uint32_t{0} >> range.length);
     check(range.bits + span);
     check(range.bits + span + 1);
   }

@@ -2,9 +2,11 @@
 // trie: the cache and a naive linear-scan reference model are driven
 // through identical derived-RNG corpora of insert / lookup / expiry
 // interleavings across prefix lengths 0-32, and must give identical answers
-// at every step. (The trie itself is checked against its own naive model
-// in ip_lpm_property_test.cpp; its length bounds are pinned here.) Any
-// divergence prints the corpus seed, so a failure replays deterministically:
+// at every step — once with room for every entry, once at capacities small
+// enough that nearly every insert purges or evicts. (The trie itself is
+// checked against its own naive model in ip_lpm_property_test.cpp; its
+// length bounds are pinned here.) Any divergence prints the corpus seed, so
+// a failure replays deterministically:
 //
 //   DRONGO_LPM_PROPERTY_SEED=<seed> ./lpm_tests --gtest_filter='LpmProperty*'
 #include "dns/cache.hpp"
@@ -14,6 +16,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -84,33 +87,53 @@ class PrefixGen {
   std::vector<Prefix> history_;
 };
 
-/// The reference model of the rebased DnsCache's lookup semantics: among
-/// cached scopes containing the client subnet (longest first), expired ones
-/// erase in passing and the first live one answers.
+/// The reference model of the rebased DnsCache's semantics: among cached
+/// scopes containing the client subnet (longest first), expired ones erase
+/// in passing and the first live one answers and becomes most recently
+/// used. Re-inserting a stored (name, scope) refreshes it in place; a new
+/// one arriving when the model is full first erases every dead entry, then
+/// the least recently used live ones.
 struct NaiveCacheEntry {
   std::string name;
   Prefix scope;
   std::uint64_t expiry_ms = 0;
   int token = 0;
+  std::uint64_t last_used = 0;
 };
 
 class NaiveDnsCache {
  public:
-  void insert(const std::string& name, const Prefix& scope, std::uint64_t expiry_ms,
-              int token) {
+  explicit NaiveDnsCache(std::size_t capacity = std::numeric_limits<std::size_t>::max())
+      : capacity_(capacity) {}
+
+  void insert(const std::string& name, const Prefix& scope, std::uint64_t now_ms,
+              std::uint64_t expiry_ms, int token) {
     for (auto& e : entries_) {
       if (e.name == name && e.scope == scope) {
         e.expiry_ms = expiry_ms;
         e.token = token;
+        e.last_used = ++clock_;
         return;
       }
     }
-    entries_.push_back({name, scope, expiry_ms, token});
+    if (entries_.size() >= capacity_) {
+      expired_ += std::erase_if(
+          entries_, [&](const NaiveCacheEntry& e) { return e.expiry_ms <= now_ms; });
+    }
+    while (!entries_.empty() && entries_.size() >= capacity_) {
+      entries_.erase(std::min_element(
+          entries_.begin(), entries_.end(),
+          [](const NaiveCacheEntry& a, const NaiveCacheEntry& b) {
+            return a.last_used < b.last_used;
+          }));
+      ++evictions_;
+    }
+    entries_.push_back({name, scope, expiry_ms, token, ++clock_});
   }
 
-  /// Returns the answering token (or nullopt) and counts erased-expired.
+  /// Returns the answering token, or nullopt.
   std::optional<int> lookup(const std::string& name, const Prefix& subnet,
-                            std::uint64_t now_ms, int* erased_expired) {
+                            std::uint64_t now_ms) {
     std::vector<std::size_t> chain;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const auto& e = entries_[i];
@@ -127,10 +150,11 @@ class NaiveDnsCache {
     for (const std::size_t i : chain) {
       if (entries_[i].expiry_ms <= now_ms) {
         dead.push_back(i);
-        ++*erased_expired;
+        ++expired_;
         continue;
       }
       answer = entries_[i].token;
+      entries_[i].last_used = ++clock_;
       break;
     }
     std::sort(dead.rbegin(), dead.rend());
@@ -141,9 +165,17 @@ class NaiveDnsCache {
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// Entries erased because they were dead (by a lookup or a full insert).
+  [[nodiscard]] std::uint64_t expired() const { return expired_; }
+  /// Live entries erased to make room.
+  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
  private:
+  std::size_t capacity_;
   std::vector<NaiveCacheEntry> entries_;
+  std::uint64_t clock_ = 0;  ///< recency stamps: larger = more recently used
+  std::uint64_t expired_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 TEST(LpmPropertyTest, DnsCacheMatchesNaiveModelUnderExpiryInterleavings) {
@@ -160,13 +192,13 @@ TEST(LpmPropertyTest, DnsCacheMatchesNaiveModelUnderExpiryInterleavings) {
   for (int round = 0; round < kRounds; ++round) {
     Rng rng = Rng::derive(seed, 1000 + static_cast<std::uint64_t>(round));
     PrefixGen gen(&rng);
-    // Unbounded for the corpus sizes used here: LRU eviction has its own
-    // unit tests; this harness isolates scope-matching + expiry semantics.
+    // Unbounded for the corpus sizes used here: this harness isolates
+    // scope-matching + expiry semantics; the bounded one below adds LRU
+    // eviction and insert-time purging.
     dns::DnsCache cache(100000);
     NaiveDnsCache naive;
     std::uint64_t now_ms = 0;
     int next_token = 1;
-    int expected_expired = 0;
 
     for (int step = 0; step < kSteps; ++step) {
       now_ms += rng.uniform(200);
@@ -177,12 +209,11 @@ TEST(LpmPropertyTest, DnsCacheMatchesNaiveModelUnderExpiryInterleavings) {
         const auto ttl = static_cast<std::uint32_t>(rng.uniform(4));  // 0-3s
         cache.insert(name, scope, {Ipv4Addr(static_cast<std::uint32_t>(token))}, ttl,
                      now_ms);
-        naive.insert(name.canonical(), scope, now_ms + ttl * 1000ULL, token);
+        naive.insert(name.canonical(), scope, now_ms, now_ms + ttl * 1000ULL, token);
       } else {
         const Prefix subnet = Prefix(gen.next_addr(), 8 + static_cast<int>(rng.uniform(25)));
         const auto got = cache.lookup(name, subnet, now_ms);
-        const auto expect = naive.lookup(name.canonical(), subnet, now_ms,
-                                         &expected_expired);
+        const auto expect = naive.lookup(name.canonical(), subnet, now_ms);
         ASSERT_EQ(got.has_value(), expect.has_value())
             << "cache lookup diverged for " << name.to_string() << " "
             << subnet.to_string() << " at t=" << now_ms << " (seed=" << seed
@@ -195,10 +226,84 @@ TEST(LpmPropertyTest, DnsCacheMatchesNaiveModelUnderExpiryInterleavings) {
       }
       ASSERT_EQ(cache.size(), naive.size())
           << "(seed=" << seed << " round=" << round << " step=" << step << ")";
-      ASSERT_EQ(cache.stats().expired, static_cast<std::uint64_t>(expected_expired))
+      ASSERT_EQ(cache.stats().expired, naive.expired())
           << "(seed=" << seed << " round=" << round << " step=" << step << ")";
     }
   }
+}
+
+TEST(LpmPropertyTest, BoundedDnsCacheMatchesNaiveModelUnderEvictionPressure) {
+  const std::uint64_t seed = corpus_seed();
+  std::cout << "[ corpus   ] DRONGO_LPM_PROPERTY_SEED=" << seed << "\n";
+  const std::vector<dns::DnsName> names = {
+      dns::DnsName::must_parse("a.cdn.sim"),
+      dns::DnsName::must_parse("b.cdn.sim"),
+      dns::DnsName::must_parse("c.cdn.sim"),
+  };
+  constexpr int kRounds = 12;
+  constexpr int kSteps = 400;
+  std::uint64_t total_expired = 0;
+  std::uint64_t total_evictions = 0;
+
+  for (const std::size_t capacity : {std::size_t{4}, std::size_t{16}}) {
+    for (int round = 0; round < kRounds; ++round) {
+      Rng rng = Rng::derive(seed, 1000 * capacity + static_cast<std::uint64_t>(round));
+      PrefixGen gen(&rng);
+      dns::DnsCache cache(capacity);
+      NaiveDnsCache naive(capacity);
+      std::vector<std::pair<std::size_t, Prefix>> inserted;  // (name index, scope)
+      std::uint64_t now_ms = 0;
+      int next_token = 1;
+
+      for (int step = 0; step < kSteps; ++step) {
+        const std::string where = "(seed=" + std::to_string(seed) +
+                                  " capacity=" + std::to_string(capacity) +
+                                  " round=" + std::to_string(round) +
+                                  " step=" + std::to_string(step) + ")";
+        now_ms += rng.uniform(200);
+        if (rng.chance(0.5)) {
+          // A quarter of the inserts refresh a key inserted before (it may
+          // since have expired or been evicted), the rest are new scopes.
+          std::pair<std::size_t, Prefix> key;
+          if (!inserted.empty() && rng.chance(0.25)) {
+            key = inserted[rng.index(inserted.size())];
+          } else {
+            key = {rng.index(names.size()), gen.next()};
+            inserted.push_back(key);
+          }
+          const auto& name = names[key.first];
+          const int token = next_token++;
+          const auto ttl = static_cast<std::uint32_t>(rng.uniform(4));  // 0-3s
+          cache.insert(name, key.second, {Ipv4Addr(static_cast<std::uint32_t>(token))},
+                       ttl, now_ms);
+          naive.insert(name.canonical(), key.second, now_ms, now_ms + ttl * 1000ULL,
+                       token);
+        } else {
+          const auto& name = names[rng.index(names.size())];
+          const Prefix subnet =
+              Prefix(gen.next_addr(), 8 + static_cast<int>(rng.uniform(25)));
+          const auto got = cache.lookup(name, subnet, now_ms);
+          const auto expect = naive.lookup(name.canonical(), subnet, now_ms);
+          ASSERT_EQ(got.has_value(), expect.has_value())
+              << "cache lookup diverged for " << name.to_string() << " "
+              << subnet.to_string() << " at t=" << now_ms << " " << where;
+          if (expect) {
+            ASSERT_EQ(got->addresses.front(),
+                      Ipv4Addr(static_cast<std::uint32_t>(*expect)))
+                << where;
+          }
+        }
+        ASSERT_EQ(cache.size(), naive.size()) << where;
+        ASSERT_EQ(cache.stats().expired, naive.expired()) << where;
+        ASSERT_EQ(cache.stats().evictions, naive.evictions()) << where;
+      }
+      total_expired += naive.expired();
+      total_evictions += naive.evictions();
+    }
+  }
+  // The corpus must exercise both ways a full cache makes room.
+  EXPECT_GT(total_expired, 0u);
+  EXPECT_GT(total_evictions, 0u);
 }
 
 TEST(LpmPropertyTest, RejectsOutOfRangeLengths) {
