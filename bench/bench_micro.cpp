@@ -8,6 +8,7 @@
 #include "core/decision.hpp"
 #include "core/drongo.hpp"
 #include "dns/message.hpp"
+#include "dns/reverse.hpp"
 #include "measure/testbed.hpp"
 #include "measure/trial.hpp"
 #include "topology/as_gen.hpp"
@@ -68,6 +69,71 @@ void BM_NameCompressionEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NameCompressionEncode);
+
+// A traceroute hop's reverse lookup: PTR query for an in-addr.arpa name
+// (no ECS), and the answer naming the router.
+dns::Message ptr_query() {
+  return dns::Message::make_query(11, dns::reverse_pointer_name(net::Ipv4Addr(21, 8, 84, 1)),
+                                  std::nullopt, dns::RrType::kPtr);
+}
+
+void BM_DnsEncodePtrQuery(benchmark::State& state) {
+  const auto query = ptr_query();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(query.encode());
+  }
+}
+BENCHMARK(BM_DnsEncodePtrQuery);
+
+void BM_DnsDecodePtrResponse(benchmark::State& state) {
+  const auto query = ptr_query();
+  auto response = dns::Message::make_response(query);
+  response.answers.push_back(dns::ResourceRecord::ptr(
+      query.questions[0].name, dns::DnsName::must_parse("r1.pop3.core.transit7.sim")));
+  const auto wire = response.encode();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dns::Message::decode(wire));
+  }
+}
+BENCHMARK(BM_DnsDecodePtrResponse);
+
+// A multi-name response: a mixed-case question, a two-step CNAME chain into
+// the CDN, the replica's A record and an SOA in authority, with ECS.
+dns::Message cname_soa_response() {
+  auto query = dns::Message::make_query(42, dns::DnsName::must_parse("WWW.Shop.Example"),
+                                        net::Prefix::must_parse("198.51.100.0/24"));
+  auto response = dns::Message::make_response(query, dns::Rcode::kNoError, 20);
+  response.answers.push_back(
+      dns::ResourceRecord::cname(dns::DnsName::must_parse("www.shop.example"),
+                                 dns::DnsName::must_parse("shop.example.edge.cdn.sim"), 300));
+  response.answers.push_back(
+      dns::ResourceRecord::cname(dns::DnsName::must_parse("shop.example.edge.cdn.sim"),
+                                 dns::DnsName::must_parse("e7.edge.cdn.sim"), 60));
+  response.answers.push_back(dns::ResourceRecord::a(dns::DnsName::must_parse("e7.edge.cdn.sim"),
+                                                    net::Ipv4Addr(21, 8, 84, 10), 30));
+  dns::SoaRdata soa;
+  soa.mname = dns::DnsName::must_parse("ns1.cdn.sim");
+  soa.rname = dns::DnsName::must_parse("hostmaster.cdn.sim");
+  response.authority.push_back(
+      dns::ResourceRecord::soa(dns::DnsName::must_parse("cdn.sim"), soa, 3600));
+  return response;
+}
+
+void BM_DnsEncodeCnameSoaResponse(benchmark::State& state) {
+  const auto response = cname_soa_response();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(response.encode());
+  }
+}
+BENCHMARK(BM_DnsEncodeCnameSoaResponse);
+
+void BM_DnsDecodeCnameSoaResponse(benchmark::State& state) {
+  const auto wire = cname_soa_response().encode();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dns::Message::decode(wire));
+  }
+}
+BENCHMARK(BM_DnsDecodeCnameSoaResponse);
 
 void BM_BgpRouteComputation(benchmark::State& state) {
   topology::AsGenConfig config;

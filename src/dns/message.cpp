@@ -155,7 +155,10 @@ std::vector<std::uint8_t> Message::encode() const {
 
 void Message::encode_to(std::vector<std::uint8_t>& out) const {
   net::ByteWriter w(std::move(out));
+  // Room for the suffixes of a few names (a question of four or five
+  // labels plus a CNAME or PTR target) in one 32-byte allocation.
   NameOffsets offsets;
+  offsets.reserve(16);
 
   const std::size_t additional_count = additional.size() + (edns ? 1 : 0);
   w.write_u16(header.id);

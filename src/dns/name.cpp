@@ -1,7 +1,8 @@
 #include "dns/name.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <span>
 #include <string_view>
 
 #include "net/error.hpp"
@@ -13,6 +14,54 @@ namespace {
 constexpr std::size_t kMaxLabel = 63;
 constexpr std::size_t kMaxName = 255;
 constexpr std::uint8_t kPointerTag = 0xC0;
+// A name of at most 255 wire bytes holds at most 127 labels of >= 1 byte.
+constexpr std::size_t kMaxLabels = (kMaxName - 1) / 2;
+
+bool label_iequal(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (net::ascii_lower(a[i]) != net::ascii_lower(b[i])) return false;
+  }
+  return true;
+}
+
+// Folded labels as unsigned bytes, a proper prefix first: the order
+// std::string::compare gives the two lowercased copies.
+std::strong_ordering label_compare(std::string_view a, std::string_view b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto ca = static_cast<unsigned char>(net::ascii_lower(a[i]));
+    const auto cb = static_cast<unsigned char>(net::ascii_lower(b[i]));
+    if (ca != cb) return ca <=> cb;
+  }
+  return a.size() <=> b.size();
+}
+
+// Follows compression pointers from `at` to the next length byte written in
+// place.
+std::size_t skip_pointers(std::span<const std::uint8_t> wire, std::size_t at) {
+  while ((wire[at] & kPointerTag) == kPointerTag) {
+    at = (static_cast<std::size_t>(wire[at] & 0x3F) << 8) | wire[at + 1];
+  }
+  return at;
+}
+
+// True when the complete name this encoder wrote at `at` spells `labels`
+// (ASCII case-insensitively). `wire` is trusted encoder output: every
+// pointer in it targets an earlier recorded offset, so the walk ends.
+bool wire_spells(std::span<const std::uint8_t> wire, std::size_t at,
+                 std::span<const std::string> labels) {
+  for (const std::string& label : labels) {
+    at = skip_pointers(wire, at);
+    const std::size_t len = wire[at];
+    if (len != label.size()) return false;
+    const std::string_view written(
+        reinterpret_cast<const char*>(wire.data() + at + 1), len);
+    if (!label_iequal(written, label)) return false;
+    at += 1 + len;
+  }
+  return wire[skip_pointers(wire, at)] == 0;
+}
 }  // namespace
 
 DnsName::DnsName(std::vector<std::string> labels) : labels_(std::move(labels)) {
@@ -54,7 +103,11 @@ DnsName DnsName::must_parse(std::string_view text) {
 }
 
 DnsName DnsName::decode(net::ByteReader& reader) {
-  std::vector<std::string> labels;
+  // The walk notes where each label's bytes sit; the labels are copied out
+  // afterwards into a vector sized once.
+  std::array<std::size_t, kMaxLabels> starts;
+  std::array<std::uint8_t, kMaxLabels> lengths;
+  std::size_t count = 0;
   std::size_t total = 1;
   // After the first pointer the cursor must not move; we continue decoding at
   // the pointer target via a secondary reader over the same buffer.
@@ -91,48 +144,43 @@ DnsName DnsName::decode(net::ByteReader& reader) {
     if (len == 0) break;
     total += 1 + len;
     if (total > kMaxName) throw net::ParseError("decoded DNS name exceeds 255 bytes");
-    labels.push_back(r->read_string(len));
+    starts[count] = r->position();
+    lengths[count] = len;
+    ++count;
+    r->skip(len);
+  }
+  const auto wire = reader.buffer();
+  std::vector<std::string> labels;
+  labels.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    labels.emplace_back(reinterpret_cast<const char*>(wire.data() + starts[i]),
+                        lengths[i]);
   }
   return DnsName(std::move(labels));
 }
 
 void DnsName::encode(net::ByteWriter& writer, NameOffsets* offsets) const {
-  if (offsets == nullptr) {
-    for (const auto& label : labels_) {
-      writer.write_u8(static_cast<std::uint8_t>(label.size()));
-      writer.write_string(label);
-    }
-    writer.write_u8(0);
-    return;
-  }
-  // Build the canonical (lowercase, dotted) form once; the suffix starting
-  // at label i is then a view into it, so each map probe allocates nothing.
-  // A key string is materialised only when a new suffix is recorded.
-  std::string canonical;
-  canonical.reserve(wire_length());
+  // Only entries recorded before this name began are candidates: the ones
+  // it records itself sit over its own half-written labels, and no suffix
+  // of a name can equal another of its suffixes anyway.
+  const std::size_t known = offsets != nullptr ? offsets->size() : 0;
   for (std::size_t i = 0; i < labels_.size(); ++i) {
-    if (i != 0) canonical.push_back('.');
-    for (const char c : labels_[i]) {
-      canonical.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-  }
-  std::size_t suffix_start = 0;
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    const std::string_view suffix =
-        std::string_view(canonical).substr(suffix_start);
-    auto it = offsets->find(suffix);
-    if (it != offsets->end()) {
-      writer.write_u16(static_cast<std::uint16_t>(0xC000 | it->second));
-      return;
-    }
-    if (writer.size() < 0x4000) {
-      offsets->emplace(std::string(suffix),
-                       static_cast<std::uint16_t>(writer.size()));
+    if (offsets != nullptr) {
+      const std::span<const std::string> suffix(labels_.begin() + static_cast<std::ptrdiff_t>(i),
+                                                labels_.end());
+      for (std::size_t k = 0; k < known; ++k) {
+        const std::uint16_t at = (*offsets)[k];
+        if (wire_spells(writer.bytes(), at, suffix)) {
+          writer.write_u16(static_cast<std::uint16_t>(0xC000 | at));
+          return;
+        }
+      }
+      if (writer.size() < 0x4000) {
+        offsets->push_back(static_cast<std::uint16_t>(writer.size()));
+      }
     }
     writer.write_u8(static_cast<std::uint8_t>(labels_[i].size()));
     writer.write_string(labels_[i]);
-    suffix_start += labels_[i].size() + 1;  // past this label and its dot
   }
   writer.write_u8(0);
 }
@@ -154,7 +202,14 @@ std::string DnsName::to_string() const {
 }
 
 std::string DnsName::canonical() const {
-  return net::to_lower(to_string());
+  if (labels_.empty()) return ".";
+  std::string out;
+  out.reserve(wire_length() - 2);  // no leading length byte, no root byte
+  for (const auto& label : labels_) {
+    if (!out.empty()) out.push_back('.');
+    for (const char c : label) out.push_back(net::ascii_lower(c));
+  }
+  return out;
 }
 
 bool DnsName::is_subdomain_of(const DnsName& other) const {
@@ -162,7 +217,7 @@ bool DnsName::is_subdomain_of(const DnsName& other) const {
   auto mine = labels_.rbegin();
   for (auto theirs = other.labels_.rbegin(); theirs != other.labels_.rend();
        ++theirs, ++mine) {
-    if (net::to_lower(*mine) != net::to_lower(*theirs)) return false;
+    if (!label_iequal(*mine, *theirs)) return false;
   }
   return true;
 }
@@ -175,17 +230,16 @@ DnsName DnsName::parent() const {
 }
 
 bool operator==(const DnsName& a, const DnsName& b) {
-  return (a <=> b) == std::strong_ordering::equal;
+  return std::equal(a.labels_.begin(), a.labels_.end(), b.labels_.begin(),
+                    b.labels_.end(), [](const std::string& x, const std::string& y) {
+                      return label_iequal(x, y);
+                    });
 }
 
 std::strong_ordering operator<=>(const DnsName& a, const DnsName& b) {
   const auto n = std::min(a.labels_.size(), b.labels_.size());
   for (std::size_t i = 0; i < n; ++i) {
-    auto la = net::to_lower(a.labels_[i]);
-    auto lb = net::to_lower(b.labels_[i]);
-    if (auto cmp = la.compare(lb); cmp != 0) {
-      return cmp < 0 ? std::strong_ordering::less : std::strong_ordering::greater;
-    }
+    if (auto cmp = label_compare(a.labels_[i], b.labels_[i]); cmp != 0) return cmp;
   }
   return a.labels_.size() <=> b.labels_.size();
 }

@@ -3,7 +3,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -13,11 +12,13 @@
 
 namespace drongo::dns {
 
-/// Compression state threaded through one message encode: lowercased name
-/// suffix -> wire offset where it was first written. The transparent
-/// comparator lets the hot path probe with string_views (no key allocation
-/// on lookup; a std::string key is built only when a new suffix is stored).
-using NameOffsets = std::map<std::string, std::uint16_t, std::less<>>;
+/// Compression state threaded through one message encode: the buffer
+/// offsets at which a name suffix was written in place, in write order
+/// (only offsets below 0x4000, the reach of a compression pointer). The
+/// table holds no name text: encode() recognises a suffix by walking the
+/// bytes already written at each offset. It belongs to one ByteWriter and
+/// must not outlive or be shared across writers.
+using NameOffsets = std::vector<std::uint16_t>;
 
 /// A DNS domain name: an ordered sequence of labels.
 ///
@@ -47,10 +48,12 @@ class DnsName {
   static DnsName decode(net::ByteReader& reader);
 
   /// Encodes in wire format, compressing against names already written:
-  /// `offsets` maps a lowercased suffix ("example.com") to the buffer offset
-  /// where that suffix was previously encoded. Pass nullptr to disable
-  /// compression. Newly encoded suffixes at offsets < 0x4000 are added to the
-  /// map.
+  /// each suffix, longest first, is compared (ASCII case-insensitively,
+  /// following pointers) with the names written at the offsets `offsets`
+  /// recorded before this name began, and the first match in record order
+  /// becomes a pointer. Every suffix written in place at an offset < 0x4000
+  /// is appended to `offsets`. Allocates nothing beyond the writer's and the
+  /// table's own growth. Pass nullptr to disable compression.
   void encode(net::ByteWriter& writer, NameOffsets* offsets = nullptr) const;
 
   [[nodiscard]] const std::vector<std::string>& labels() const { return labels_; }
@@ -71,11 +74,15 @@ class DnsName {
   /// "example.com"). Throws InvalidArgument on the root.
   [[nodiscard]] DnsName parent() const;
 
-  /// Case-insensitive equality.
+  /// Case-insensitive equality (ASCII A-Z fold only).
   friend bool operator==(const DnsName& a, const DnsName& b);
+  /// Label by label from the leftmost: folded labels compare as unsigned
+  /// bytes with a proper prefix first (std::string::compare order), then
+  /// the name with fewer labels is first. Every std::map<DnsName, ...>
+  /// iterates in this order.
   friend std::strong_ordering operator<=>(const DnsName& a, const DnsName& b);
 
-  /// Lowercased dotted form used as a canonical map key.
+  /// Lowercased dotted form used as a canonical map key; the root is ".".
   [[nodiscard]] std::string canonical() const;
 
  private:

@@ -1,5 +1,7 @@
 #include "net/bytes.hpp"
 
+#include <iterator>
+
 #include "net/error.hpp"
 
 namespace drongo::net {
@@ -63,15 +65,14 @@ std::string ByteReader::read_string(std::size_t n) {
 void ByteWriter::write_u8(std::uint8_t v) { out_.push_back(v); }
 
 void ByteWriter::write_u16(std::uint16_t v) {
-  out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  out_.push_back(static_cast<std::uint8_t>(v));
+  const std::uint8_t be[] = {static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+  out_.insert(out_.end(), std::begin(be), std::end(be));
 }
 
 void ByteWriter::write_u32(std::uint32_t v) {
-  out_.push_back(static_cast<std::uint8_t>(v >> 24));
-  out_.push_back(static_cast<std::uint8_t>(v >> 16));
-  out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  out_.push_back(static_cast<std::uint8_t>(v));
+  const std::uint8_t be[] = {static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
+                             static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+  out_.insert(out_.end(), std::begin(be), std::end(be));
 }
 
 void ByteWriter::write_bytes(std::span<const std::uint8_t> data) {

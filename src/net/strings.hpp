@@ -11,6 +11,13 @@ namespace drongo::net {
 /// Splits on a single character; empty fields are preserved.
 std::vector<std::string> split(std::string_view text, char sep);
 
+/// ASCII case fold of one byte: 'A'..'Z' become 'a'..'z', every other byte
+/// (including 0x80-0xFF) is unchanged. This is exactly std::tolower in the
+/// "C" locale, without the locale lookup, so it can run inside comparisons.
+constexpr char ascii_lower(char c) {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// ASCII lowercase copy (DNS names compare case-insensitively).
 std::string to_lower(std::string_view text);
 
