@@ -5,7 +5,9 @@
 // (sharded cache on, coalescing on, frozen serving time) over real loopback
 // sockets, driven by a pipelined load generator that keeps a window of
 // queries outstanding and itself batches syscalls (the client must not
-// steal the server's core with per-datagram overhead):
+// steal the server's core with per-datagram overhead). The generator runs
+// on the cores the listeners leave free and spreads its flows over several
+// client sockets per listener, so SO_REUSEPORT loads every listener:
 //
 //   arm A  dns::UdpDnsServer    blocking thread, one recvfrom/sendto pair
 //                               and a fresh 64 KB buffer per datagram
@@ -17,6 +19,7 @@
 // the gate that keeps the front end honest. Latency (p50/p99 over every
 // response) and sustained QPS land in BENCH_daemon.json.
 #include <netinet/in.h>
+#include <poll.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -82,8 +85,8 @@ std::size_t parse_daemon_listeners() {
   const long v = parse_env_long("DRONGO_DAEMON_LISTENERS",
                                 std::getenv("DRONGO_DAEMON_LISTENERS"), 0, 0);
   if (v > 0) return static_cast<std::size_t>(v);
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  // Half the cores, leaving the rest to the load generator.
+  return std::max(1u, std::thread::hardware_concurrency() / 2);
 }
 
 std::size_t parse_daemon_batch() {
@@ -177,24 +180,115 @@ double percentile(std::vector<double>& sorted_samples, double q) {
   return sorted_samples[std::min(index, sorted_samples.size() - 1)];
 }
 
-/// Keeps `window` queries outstanding against 127.0.0.1:`port` for
-/// `duration` seconds. Each window slot owns one pre-encoded query (its DNS
-/// id IS the slot index, so a response maps back without decoding); every
-/// response immediately re-arms its slot. Client syscalls are batched with
-/// the same UdpBatch machinery the daemon uses — on a shared core the
-/// client's own syscall count is part of the measurement budget.
-LoadResult run_load(World& env, std::uint16_t port, double duration,
-                    std::size_t window, std::size_t batch) {
-  dns::UdpSocket socket(0);  // blocking: the client parks while the server runs
-  socket.set_receive_timeout(50);
-  netio::UdpBatch io(batch, 4096);
+/// Where the generator runs. The daemon pins listener i to CPU i, so the
+/// generator threads take the CPUs after the listeners when there are any
+/// (as perfbench does); with no spare CPU one unpinned thread shares them.
+struct GeneratorPlan {
+  std::size_t threads = 1;
+  std::size_t first_cpu = 0;
+  bool pin = false;
+  std::size_t sockets_per_thread = 2;
+};
 
+GeneratorPlan plan_generator(std::size_t listeners) {
+  GeneratorPlan plan;
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw > listeners) {
+    plan.threads = hw - listeners;
+    plan.first_cpu = listeners;
+    plan.pin = true;
+  }
+  // SO_REUSEPORT hashes each client flow (source port) to one listener, so
+  // several sockets per listener spread the load across all of them.
+  constexpr std::size_t kSocketsPerListener = 4;
+  plan.sockets_per_thread =
+      std::max<std::size_t>(2, (kSocketsPerListener * listeners + plan.threads - 1) /
+                                   plan.threads);
+  return plan;
+}
+
+/// What one generator thread saw: its responses and their latencies (ms).
+struct ShareResult {
+  std::uint64_t responses = 0;
+  std::vector<double> samples;
+};
+
+/// One generator thread: keeps the window slots [first, first + count)
+/// outstanding over its own client sockets (slot first + k rides socket
+/// k % socket_count) until `duration` on `watch`. Each slot owns one
+/// pre-encoded query whose DNS id IS the slot index, so a response maps back
+/// without decoding; every response immediately re-arms its slot. Syscalls
+/// are batched with the same UdpBatch machinery the daemon uses.
+ShareResult drive_share(const std::vector<std::vector<std::uint8_t>>& queries,
+                        std::size_t first, std::size_t count, std::uint16_t port,
+                        std::size_t socket_count, std::size_t batch, double duration,
+                        const net::Stopwatch& watch) {
+  std::vector<dns::UdpSocket> sockets;
+  std::vector<pollfd> fds;
+  for (std::size_t i = 0; i < socket_count; ++i) {
+    sockets.emplace_back(0);  // distinct ephemeral source ports
+    fds.push_back({sockets.back().fd(), POLLIN, 0});
+  }
+  netio::UdpBatch io(batch, 4096);
   sockaddr_in dest{};
   dest.sin_family = AF_INET;
   dest.sin_port = htons(port);
   dest.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
 
-  const auto names = env.auth->content_names();
+  ShareResult result;
+  result.samples.reserve(1u << 17);
+  std::vector<double> sent_at(count, -1.0);
+  // Stages slot `first + k` on its socket `fd`; callers flush per socket.
+  auto stage_slot = [&](std::size_t k, int fd, double now) {
+    if (io.staged() == io.batch_size()) io.flush(fd);
+    io.stage(dest, queries[first + k]);
+    sent_at[k] = now;
+  };
+  // Re-arms every slot of socket `s` idle for longer than `stale` seconds.
+  auto rearm = [&](std::size_t s, double now, double stale) {
+    for (std::size_t k = s; k < count; k += socket_count) {
+      if (now - sent_at[k] > stale) stage_slot(k, fds[s].fd, now);
+    }
+    io.flush(fds[s].fd);
+  };
+  for (std::size_t s = 0; s < socket_count; ++s) rearm(s, watch.seconds(), -1.0);  // all
+
+  double last_sweep = watch.seconds();
+  while (true) {
+    const int ready = ::poll(fds.data(), fds.size(), 50);
+    const double now = watch.seconds();
+    if (now >= duration) break;
+    if (now - last_sweep > 0.05) {
+      // Re-arm slots whose query or response was dropped.
+      for (std::size_t s = 0; s < socket_count; ++s) rearm(s, now, 0.25);
+      last_sweep = now;
+    }
+    if (ready <= 0) continue;
+    for (std::size_t s = 0; s < socket_count; ++s) {
+      if ((fds[s].revents & POLLIN) == 0) continue;
+      const std::size_t received = io.receive(fds[s].fd);
+      for (std::size_t i = 0; i < received; ++i) {
+        const auto payload = io.payload(i);
+        if (payload.size() < 2) continue;
+        const std::size_t slot = (static_cast<std::size_t>(payload[0]) << 8) | payload[1];
+        if (slot < first || slot >= first + count) continue;
+        const std::size_t k = slot - first;
+        if (k % socket_count != s || sent_at[k] < 0.0) continue;
+        result.samples.push_back((now - sent_at[k]) * 1000.0);
+        ++result.responses;
+        stage_slot(k, fds[s].fd, now);
+      }
+      io.flush(fds[s].fd);
+    }
+  }
+  return result;
+}
+
+/// Keeps `window` queries outstanding against 127.0.0.1:`port` for
+/// `duration` seconds, split across the plan's generator threads.
+LoadResult run_load(World& env, std::uint16_t port, double duration, std::size_t window,
+                    std::size_t batch, const GeneratorPlan& plan) {
+  const auto& names = env.auth->content_names();
   std::vector<std::vector<std::uint8_t>> queries;
   queries.reserve(window);
   for (std::size_t slot = 0; slot < window; ++slot) {
@@ -209,48 +303,31 @@ LoadResult run_load(World& env, std::uint16_t port, double duration,
             .encode());
   }
 
-  std::vector<double> sent_at(window, -1.0);
-  std::vector<double> samples;
-  samples.reserve(1u << 18);
-  std::uint64_t responses = 0;
-
+  const std::size_t threads = std::min(plan.threads, window);
+  std::vector<ShareResult> shares(threads);
   const net::Stopwatch watch;
-  auto stage_slot = [&](std::size_t slot, double now) {
-    if (io.staged() == io.batch_size()) io.flush(socket.fd());
-    io.stage(dest, queries[slot]);
-    sent_at[slot] = now;
-  };
-  for (std::size_t slot = 0; slot < window; ++slot) stage_slot(slot, watch.seconds());
-  io.flush(socket.fd());
-
-  while (true) {
-    const std::size_t count = io.receive(socket.fd(), /*wait_for_one=*/true);
-    const double now = watch.seconds();
-    if (now >= duration) break;
-    if (count == 0) {
-      // Timeout tick: re-arm slots whose query or response was dropped.
-      for (std::size_t slot = 0; slot < window; ++slot) {
-        if (now - sent_at[slot] > 0.25) stage_slot(slot, now);
-      }
-      io.flush(socket.fd());
-      continue;
+  {
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < threads; ++t) {
+      const std::size_t first = window * t / threads;
+      const std::size_t count = window * (t + 1) / threads - first;
+      workers.emplace_back([&, t, first, count] {
+        if (plan.pin) netio::pin_thread_to_cpu(static_cast<unsigned>(plan.first_cpu + t));
+        shares[t] = drive_share(queries, first, count, port,
+                                std::min(plan.sockets_per_thread, count), batch, duration,
+                                watch);
+      });
     }
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto payload = io.payload(i);
-      if (payload.size() < 2) continue;
-      const std::size_t slot =
-          (static_cast<std::size_t>(payload[0]) << 8) | payload[1];
-      if (slot >= window || sent_at[slot] < 0.0) continue;
-      samples.push_back((now - sent_at[slot]) * 1000.0);
-      ++responses;
-      stage_slot(slot, now);
-    }
-    io.flush(socket.fd());
+    for (auto& worker : workers) worker.join();
   }
 
   LoadResult result;
-  result.responses = responses;
   result.seconds = watch.seconds();
+  std::vector<double> samples;
+  for (auto& share : shares) {
+    result.responses += share.responses;
+    samples.insert(samples.end(), share.samples.begin(), share.samples.end());
+  }
   std::sort(samples.begin(), samples.end());
   result.p50_ms = percentile(samples, 0.50);
   result.p99_ms = percentile(samples, 0.99);
@@ -267,16 +344,23 @@ int main() {
   const double duration = parse_bench_seconds();
   const std::size_t kWindow = parse_window();
 
+  const GeneratorPlan generator = plan_generator(listeners);
+
   World env;
   std::cout << "Daemon bench: " << listeners << " listener(s), batch " << batch
-            << ", " << duration << "s per arm, window " << kWindow << "...\n\n";
+            << ", " << duration << "s per arm, window " << kWindow << "; generator "
+            << generator.threads << " thread(s) x " << generator.sockets_per_thread
+            << " socket(s)"
+            << (generator.pin ? " from cpu " + std::to_string(generator.first_cpu)
+                              : std::string(" sharing the listener cpus"))
+            << "...\n\n";
 
   // Arm A: the naive blocking single-listener server.
   LoadResult naive;
   {
     auto resolver = env.make_resolver();
     dns::UdpDnsServer server(resolver.get(), 0);
-    naive = run_load(env, server.port(), duration, kWindow, batch);
+    naive = run_load(env, server.port(), duration, kWindow, batch, generator);
     server.stop();
   }
 
@@ -291,7 +375,7 @@ int main() {
     config.pin_threads = listeners > 1;
     config.enable_tcp = false;  // pure UDP throughput arm
     dns::DaemonServer server(resolver.get(), config);
-    daemon = run_load(env, server.udp_port(), duration, kWindow, batch);
+    daemon = run_load(env, server.udp_port(), duration, kWindow, batch, generator);
     server.stop();
     daemon_stats = server.stats();
   }
@@ -308,7 +392,7 @@ int main() {
     config.enable_tcp = false;
     config.packet_cache_entries = 0;
     dns::DaemonServer server(resolver.get(), config);
-    no_pcache = run_load(env, server.udp_port(), duration * 0.5, kWindow, batch);
+    no_pcache = run_load(env, server.udp_port(), duration * 0.5, kWindow, batch, generator);
     server.stop();
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "net/error.hpp"
 
@@ -35,6 +36,16 @@ double hash_normal(std::uint64_t h) {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
 }
 
+// Serving-table word layout (see CdnProvider::MappingTable).
+constexpr std::uint64_t kSlotValid = 1ULL << 63;
+constexpr std::uint64_t kSlotTagMask = ~((1ULL << 24) - 1);
+constexpr std::uint64_t kSlotField = (1ULL << 12) - 1;
+
+std::uint64_t slot_tag(const net::Prefix& key) {
+  return kSlotValid | (static_cast<std::uint64_t>(key.length()) << 56) |
+         (static_cast<std::uint64_t>(key.network().to_uint()) << 24);
+}
+
 }  // namespace
 
 CdnProvider::CdnProvider(CdnProfile profile, topology::World* world,
@@ -47,14 +58,14 @@ CdnProvider::CdnProvider(CdnProfile profile, topology::World* world,
       vips_(std::move(vips)) {
   if (world_ == nullptr) throw net::InvalidArgument("null World");
   if (clusters_.empty()) throw net::InvalidArgument("CDN needs at least one cluster");
+  if (clusters_.size() > kMaxClusters) {
+    throw net::InvalidArgument("CDN has " + std::to_string(clusters_.size()) +
+                               " clusters; at most " + std::to_string(kMaxClusters) +
+                               " fit the serving table");
+  }
   if (profile_.anycast && vips_.empty()) {
     throw net::InvalidArgument("anycast profile requires VIPs");
   }
-  by_weight_.resize(clusters_.size());
-  for (std::size_t i = 0; i < clusters_.size(); ++i) by_weight_[i] = i;
-  std::stable_sort(by_weight_.begin(), by_weight_.end(), [this](std::size_t a, std::size_t b) {
-    return clusters_[a].weight > clusters_[b].weight;
-  });
 }
 
 net::Prefix CdnProvider::mapping_key(const net::Prefix& subnet) const {
@@ -127,10 +138,14 @@ std::vector<std::size_t> CdnProvider::ranked_clusters(
 }
 
 int CdnProvider::mapped_cluster(const net::Prefix& subnet) const {
-  if (!is_mapped(subnet)) return -1;
+  return compute_mapping(subnet).persistent;
+}
+
+CdnProvider::Mapping CdnProvider::compute_mapping(const net::Prefix& subnet) const {
+  if (!is_mapped(subnet)) return {};
   const net::Prefix key = mapping_key(subnet);
   const auto location = world_->subnet_location(net::Prefix(key.network(), 24));
-  if (!location) return -1;
+  if (!location) return {};
   const auto ranked = ranked_clusters(*location, key);
   std::size_t choice = 0;
   // Persistent mapping error: with probability error_rate the key is stuck
@@ -145,7 +160,35 @@ int CdnProvider::mapped_cluster(const net::Prefix& subnet) const {
     }
     choice = std::min(displacement, ranked.size() - 1);
   }
-  return static_cast<int>(ranked[choice]);
+  Mapping mapping;
+  mapping.persistent = static_cast<int>(ranked[choice]);
+  // Transient load balancing spills to the best cluster other than the
+  // persistent one.
+  if (ranked.size() > 1) {
+    mapping.spill = static_cast<int>(ranked[0] == ranked[choice] ? ranked[1] : ranked[0]);
+  }
+  return mapping;
+}
+
+CdnProvider::Mapping CdnProvider::cached_mapping(const net::Prefix& key) const {
+  MappingTable& table = *table_;
+  const std::size_t revision = world_->revision();
+  if (table.world_revision.load(std::memory_order_relaxed) != revision) {
+    for (auto& slot : table.slots) slot.store(0, std::memory_order_relaxed);
+    table.world_revision.store(revision, std::memory_order_relaxed);
+  }
+  const std::uint64_t tag = slot_tag(key);
+  auto& slot = table.slots[mix(tag) & (kTableSlots - 1)];
+  const std::uint64_t word = slot.load(std::memory_order_relaxed);
+  if ((word & kSlotTagMask) == tag) {
+    return {static_cast<int>(word & kSlotField) - 1,
+            static_cast<int>((word >> 12) & kSlotField) - 1};
+  }
+  const Mapping mapping = compute_mapping(key);
+  slot.store(tag | static_cast<std::uint64_t>(mapping.persistent + 1) |
+                 (static_cast<std::uint64_t>(mapping.spill + 1) << 12),
+             std::memory_order_relaxed);
+  return mapping;
 }
 
 std::vector<net::Ipv4Addr> CdnProvider::replica_set_from(const CdnCluster& cluster,
@@ -192,8 +235,8 @@ std::vector<net::Ipv4Addr> CdnProvider::select_with_rotation(const net::Prefix& 
     return out;
   }
 
-  const int persistent = mapped_cluster(ecs_subnet);
-  if (persistent < 0) {
+  const Mapping mapping = cached_mapping(key);
+  if (mapping.persistent < 0) {
     // Generic answer for unmapped space: any cluster, weighted by capacity,
     // different per query. This is the instability [47] observed — and the
     // risk a client takes when it assimilates a subnet the CDN never
@@ -213,18 +256,14 @@ std::vector<net::Ipv4Addr> CdnProvider::select_with_rotation(const net::Prefix& 
     return replica_set_from(clusters_[pick], rotation);
   }
 
-  std::size_t serve = static_cast<std::size_t>(persistent);
+  int serve = mapping.persistent;
   // Transient load-balancing spill to the runner-up.
   const std::uint64_t spill_h =
       hash3(profile_.seed ^ 0x5B1LL, key.network().to_uint(), rotation);
-  if (hash01(spill_h) < profile_.lb_spill_prob && clusters_.size() > 1) {
-    const auto location = world_->subnet_location(net::Prefix(key.network(), 24));
-    if (location) {
-      const auto ranked = ranked_clusters(*location, key);
-      serve = ranked[0] == serve ? ranked[1] : ranked[0];
-    }
+  if (hash01(spill_h) < profile_.lb_spill_prob && mapping.spill >= 0) {
+    serve = mapping.spill;
   }
-  return replica_set_from(clusters_[serve], rotation);
+  return replica_set_from(clusters_[static_cast<std::size_t>(serve)], rotation);
 }
 
 }  // namespace drongo::cdn

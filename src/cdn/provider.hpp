@@ -1,7 +1,10 @@
 // CdnProvider: the ECS-driven replica mapping service of one CDN.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cdn/profile.hpp"
@@ -44,11 +47,27 @@ struct CdnCluster {
 ///  - In anycast mode every returned address is a VIP whose measured
 ///    latency is that of the nearest front, so DNS-level choice barely
 ///    matters (CDNetworks' shallow valleys, Fig. 6).
+///
+/// Serving reads each key's (persistent cluster, spill runner-up) pair from
+/// a fixed direct-mapped table instead of re-ranking every cluster per
+/// query — the table a real CDN computes per address partition and then
+/// serves from. The pair is a pure function of the profile seed, the world
+/// and the key, so a racing or evicted slot only costs a recompute and the
+/// answers are exactly those of the direct computation (`mapped_cluster`).
 class CdnProvider {
  public:
+  /// Cluster indices (plus one) are packed into 12-bit table fields.
+  static constexpr std::size_t kMaxClusters = 4094;
+
   /// `world` is borrowed. `vips` must be non-empty iff profile.anycast.
+  /// Throws net::InvalidArgument beyond kMaxClusters clusters.
   CdnProvider(CdnProfile profile, topology::World* world, std::size_t as_index,
               std::vector<CdnCluster> clusters, std::vector<net::Ipv4Addr> vips);
+
+  CdnProvider(CdnProvider&&) noexcept = default;
+  CdnProvider& operator=(CdnProvider&&) noexcept = default;
+  CdnProvider(const CdnProvider&) = delete;
+  CdnProvider& operator=(const CdnProvider&) = delete;
 
   [[nodiscard]] const CdnProfile& profile() const { return profile_; }
   [[nodiscard]] const std::vector<CdnCluster>& clusters() const { return clusters_; }
@@ -77,7 +96,8 @@ class CdnProvider {
   [[nodiscard]] bool is_mapped(const net::Prefix& subnet) const;
 
   /// The persistent cluster index for a mapped subnet, pre-load-balancing;
-  /// -1 for unmapped subnets. Exposed for tests and analysis.
+  /// -1 for unmapped subnets. Computed directly (never from the serving
+  /// table): the reference the table is checked against.
   [[nodiscard]] int mapped_cluster(const net::Prefix& subnet) const;
 
   /// Queries served (load-balancing rotation position).
@@ -96,6 +116,20 @@ class CdnProvider {
   [[nodiscard]] std::vector<std::size_t> ranked_clusters(
       const topology::GeoPoint& subnet_location, const net::Prefix& key) const;
 
+  /// What serving needs to know about one mapping key.
+  struct Mapping {
+    int persistent = -1;  ///< mapped_cluster(); -1 when unmapped
+    int spill = -1;       ///< load-balancing runner-up; -1 if none
+  };
+
+  /// The key's Mapping from one ranking, without the table.
+  [[nodiscard]] Mapping compute_mapping(const net::Prefix& subnet) const;
+
+  /// compute_mapping(key) through the serving table: one relaxed load on a
+  /// hit, one recompute and relaxed store on a miss. `key` must already be
+  /// a mapping_key().
+  [[nodiscard]] Mapping cached_mapping(const net::Prefix& key) const;
+
   std::vector<net::Ipv4Addr> replica_set_from(const CdnCluster& cluster,
                                               std::uint64_t rotation) const;
 
@@ -109,8 +143,20 @@ class CdnProvider {
   std::size_t as_index_;
   std::vector<CdnCluster> clusters_;
   std::vector<net::Ipv4Addr> vips_;
-  std::vector<std::size_t> by_weight_;  ///< cluster indices, heaviest first
   std::uint64_t query_counter_ = 0;
+
+  /// 4096 words, 32 KiB per provider however many subnets query it. Each
+  /// word is bit 63 valid | bits 56..61 key length | bits 24..55 key
+  /// network | bits 12..23 spill+1 | bits 0..11 persistent+1; a slot is
+  /// overwritten by whichever key hashed to it last.
+  static constexpr std::size_t kTableSlots = 4096;
+  struct MappingTable {
+    /// World::revision() the slots were filled against; a world that has
+    /// grown since (setup-phase add_host) empties the table.
+    std::atomic<std::size_t> world_revision{0};
+    std::array<std::atomic<std::uint64_t>, kTableSlots> slots{};
+  };
+  std::unique_ptr<MappingTable> table_ = std::make_unique<MappingTable>();
 };
 
 }  // namespace drongo::cdn

@@ -158,6 +158,14 @@ void FaultyTransport::tally(std::atomic<std::uint64_t>& counter, const char* kin
 std::vector<std::uint8_t> FaultyTransport::exchange(net::Ipv4Addr source,
                                                     net::Ipv4Addr destination,
                                                     std::span<const std::uint8_t> query) {
+  // An inactive profile injects nothing, so forward untouched. Skipping the
+  // draws is unobservable: the stream below is local to this exchange.
+  if (!profile_.active()) {
+    std::vector<std::uint8_t> reply = inner_->exchange(source, destination, query);
+    tally(clean_, "clean");
+    return reply;
+  }
+
   // One derived stream per exchange: every decision below is a pure
   // function of (seed, channel, exchange bytes). The rng is local, so
   // short-circuiting after an early fault cannot perturb any other

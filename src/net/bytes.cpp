@@ -6,12 +6,9 @@
 
 namespace drongo::net {
 
-void ByteReader::require(std::size_t n) const {
-  if (remaining() < n) {
-    throw BoundsError("read of " + std::to_string(n) + " bytes at offset " +
-                      std::to_string(pos_) + " overruns buffer of " +
-                      std::to_string(data_.size()));
-  }
+void throw_read_overrun(std::size_t n, std::size_t pos, std::size_t size) {
+  throw BoundsError("read of " + std::to_string(n) + " bytes at offset " +
+                    std::to_string(pos) + " overruns buffer of " + std::to_string(size));
 }
 
 void ByteReader::seek(std::size_t offset) {
@@ -20,23 +17,6 @@ void ByteReader::seek(std::size_t offset) {
                       std::to_string(data_.size()));
   }
   pos_ = offset;
-}
-
-void ByteReader::skip(std::size_t n) {
-  require(n);
-  pos_ += n;
-}
-
-std::uint8_t ByteReader::read_u8() {
-  require(1);
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::read_u16() {
-  require(2);
-  auto v = static_cast<std::uint16_t>((std::uint16_t{data_[pos_]} << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
 }
 
 std::uint32_t ByteReader::read_u32() {
@@ -62,13 +42,6 @@ std::string ByteReader::read_string(std::size_t n) {
   return out;
 }
 
-void ByteWriter::write_u8(std::uint8_t v) { out_.push_back(v); }
-
-void ByteWriter::write_u16(std::uint16_t v) {
-  const std::uint8_t be[] = {static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
-  out_.insert(out_.end(), std::begin(be), std::end(be));
-}
-
 void ByteWriter::write_u32(std::uint32_t v) {
   const std::uint8_t be[] = {static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
                              static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
@@ -77,10 +50,6 @@ void ByteWriter::write_u32(std::uint32_t v) {
 
 void ByteWriter::write_bytes(std::span<const std::uint8_t> data) {
   out_.insert(out_.end(), data.begin(), data.end());
-}
-
-void ByteWriter::write_string(std::string_view s) {
-  out_.insert(out_.end(), s.begin(), s.end());
 }
 
 void ByteWriter::patch_u16(std::size_t offset, std::uint16_t v) {

@@ -3,12 +3,17 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace drongo::net {
+
+/// Throws the BoundsError for a read of `n` bytes at `pos` that overruns a
+/// buffer of `size`. Out of line so the inlined checks below stay small.
+[[noreturn]] void throw_read_overrun(std::size_t n, std::size_t pos, std::size_t size);
 
 /// Sequential bounds-checked reader over a byte span (network byte order).
 ///
@@ -34,10 +39,24 @@ class ByteReader {
   void seek(std::size_t offset);
 
   /// Skips `n` bytes.
-  void skip(std::size_t n);
+  void skip(std::size_t n) {
+    require(n);
+    pos_ += n;
+  }
 
-  std::uint8_t read_u8();
-  std::uint16_t read_u16();
+  std::uint8_t read_u8() {
+    require(1);
+    return data_[pos_++];
+  }
+
+  std::uint16_t read_u16() {
+    require(2);
+    const auto v =
+        static_cast<std::uint16_t>((std::uint16_t{data_[pos_]} << 8) | data_[pos_ + 1]);
+    pos_ += 2;
+    return v;
+  }
+
   std::uint32_t read_u32();
 
   /// Reads `n` raw bytes.
@@ -47,7 +66,9 @@ class ByteReader {
   std::string read_string(std::size_t n);
 
  private:
-  void require(std::size_t n) const;
+  void require(std::size_t n) const {
+    if (remaining() < n) throw_read_overrun(n, pos_, data_.size());
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
@@ -69,11 +90,17 @@ class ByteWriter {
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return out_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
 
-  void write_u8(std::uint8_t v);
-  void write_u16(std::uint16_t v);
+  void write_u8(std::uint8_t v) { out_.push_back(v); }
+
+  void write_u16(std::uint16_t v) {
+    const std::uint8_t be[] = {static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+    out_.insert(out_.end(), std::begin(be), std::end(be));
+  }
+
   void write_u32(std::uint32_t v);
   void write_bytes(std::span<const std::uint8_t> data);
-  void write_string(std::string_view s);
+
+  void write_string(std::string_view s) { out_.insert(out_.end(), s.begin(), s.end()); }
 
   /// Overwrites a previously written u16 at `offset` (e.g. to patch an RDATA
   /// length after writing the RDATA). Throws BoundsError if out of range.

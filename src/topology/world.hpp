@@ -196,6 +196,11 @@ class World {
   /// Total hosts allocated (observability).
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
 
+  /// Changes whenever `add_host` or `add_anycast` changes what the lookups
+  /// above can answer (it counts the allocations). A memo derived from the
+  /// world compares it to know the entries it holds are still current.
+  [[nodiscard]] std::size_t revision() const { return hosts_.size() + anycast_.size(); }
+
  private:
   struct PathPoint {
     std::size_t as_index;

@@ -57,6 +57,54 @@ TEST_F(FaultyTransportFixture, InactiveProfileIsTransparent) {
   EXPECT_EQ(faulty.clean_exchanges(), 1u);
 }
 
+/// Records the bytes it was handed and answers with fixed bytes that are
+/// not a DNS message, so any decode on the path would throw.
+class EchoTransport : public DnsTransport {
+ public:
+  std::vector<std::uint8_t> exchange(net::Ipv4Addr /*source*/, net::Ipv4Addr /*destination*/,
+                                     std::span<const std::uint8_t> query) override {
+    last_query.assign(query.begin(), query.end());
+    return reply;
+  }
+
+  std::vector<std::uint8_t> last_query;
+  std::vector<std::uint8_t> reply{0xDE, 0xAD, 0xBE};
+};
+
+TEST_F(FaultyTransportFixture, InactiveProfileForwardsBytesVerbatim) {
+  EchoTransport inner;
+  FaultyTransport faulty(&inner, 5, FaultProfile::none(), FaultyTransport::Channel::kUdp);
+  for (std::uint16_t id = 0; id < 50; ++id) {
+    const auto wire = query_wire(id, /*with_ecs=*/true);
+    EXPECT_EQ(faulty.exchange(client, server_addr, wire), inner.reply);
+    EXPECT_EQ(inner.last_query, wire);
+  }
+  const std::vector<std::uint8_t> garbage{0x01, 0x02};
+  EXPECT_EQ(faulty.exchange(client, server_addr, garbage), inner.reply);
+  EXPECT_EQ(inner.last_query, garbage);
+  EXPECT_EQ(faulty.clean_exchanges(), 51u);
+  EXPECT_EQ(faulty.losses() + faulty.timeouts() + faulty.truncations() +
+                faulty.servfails() + faulty.refusals() + faulty.ecs_strips() +
+                faulty.scope_zeros() + faulty.outage_hits(),
+            0u);
+}
+
+TEST_F(FaultyTransportFixture, LossyProfileStillInjects) {
+  FaultyTransport faulty(&network, 9, FaultProfile::lossy());
+  int thrown = 0;
+  for (std::uint16_t id = 0; id < 200; ++id) {
+    try {
+      (void)faulty.exchange(client, server_addr, query_wire(id));
+    } catch (const net::TimeoutError&) {
+      ++thrown;
+    }
+  }
+  EXPECT_GT(faulty.losses(), 0u);
+  EXPECT_GT(faulty.truncations(), 0u);
+  EXPECT_EQ(static_cast<std::uint64_t>(thrown), faulty.losses());
+  EXPECT_EQ(faulty.clean_exchanges() + faulty.losses() + faulty.truncations(), 200u);
+}
+
 TEST_F(FaultyTransportFixture, SameSeedSameBytesSameFate) {
   // The headline determinism contract: fault decisions are a pure function
   // of (seed, channel, exchange bytes). Two decorators with the same seed
