@@ -2,9 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/decision.hpp"
 #include "core/race.hpp"
@@ -25,13 +27,24 @@ struct RacedResolution {
   std::optional<net::Ipv4Addr> chosen;
 };
 
+/// One domain the client keeps trained in the background: a (provider,
+/// content label) the machine actually uses.
+struct WatchedDomain {
+  std::size_t provider_index = 0;
+  std::size_t label_index = 0;
+
+  friend bool operator==(const WatchedDomain&, const WatchedDomain&) = default;
+};
+
 /// The deployable Drongo system for one client machine.
 ///
 /// Drongo sits on top of the client's DNS path: it collects trials during
-/// idle time (train/observe), and at resolution time reshapes the outgoing
-/// ECS option toward a qualified valley-prone subnet — never touching the
-/// CDN's answer, never reordering replicas, never measuring on the fly
-/// (§2.4: past measurements predictively choose the assimilation subnet).
+/// idle time (train/observe, or the sporadic §4.2 schedule driven by
+/// watch/advance_to on an explicit simulated clock), and at resolution time
+/// reshapes the outgoing ECS option toward a qualified valley-prone subnet —
+/// never touching the CDN's answer, never reordering replicas, never
+/// measuring on the fly (§2.4: past measurements predictively choose the
+/// assimilation subnet).
 ///
 /// It implements dns::SubnetSelector, so it plugs directly into an
 /// LdnsProxy to become the machine's default resolver.
@@ -51,11 +64,39 @@ class DrongoClient : public dns::SubnetSelector {
                                           double start_time_hours = 0.0,
                                           std::size_t label_index = 0);
 
-  /// Feeds one externally collected trial.
-  void observe(const measure::TrialRecord& trial) {
-    engine_.observe(trial);
-    if (store_ != nullptr) store_->contribute(cluster_, trial);
-  }
+  /// Feeds one externally collected trial to the engine owning its domain.
+  void observe(const measure::TrialRecord& trial);
+
+  /// Registers a domain for background maintenance: trials for it are
+  /// scheduled sporadically (§4.2) from `now_hours` on. Watching an
+  /// already-watched domain is a no-op — a re-registration must not
+  /// double-schedule its trials.
+  void watch(const WatchedDomain& domain, double now_hours = 0.0);
+
+  /// Domains currently under background maintenance.
+  [[nodiscard]] std::size_t watched_count() const { return watched_.size(); }
+
+  /// Advances the schedule's clock to `now_hours`, running every trial whose
+  /// time has arrived (the "idle time" work) for machine `client_index` and
+  /// feeding each to observe(). Returns the trial records in time order.
+  /// Throws net::InvalidArgument when the clock would move backwards.
+  std::vector<measure::TrialRecord> advance_to(measure::TrialRunner& runner,
+                                               std::size_t client_index,
+                                               double now_hours);
+
+  /// Next scheduled trial time across all watched domains; +inf when
+  /// nothing is scheduled.
+  [[nodiscard]] double next_wakeup_hours() const;
+
+  /// Gives `zone` (e.g. "googlecdn.sim") its own decision engine under
+  /// `params`, so different CDNs run under different (vf, vt) at once —
+  /// §5.2's per-provider optimum. Replaces any previous engine (and its
+  /// windows) for that zone.
+  void set_zone_params(const dns::DnsName& zone, DrongoParams params);
+
+  /// The engine that owns `domain`: the most specific configured zone's,
+  /// else engine(). Persistence is per engine: engine_for(zone).save/load.
+  [[nodiscard]] DecisionEngine& engine_for(const dns::DnsName& domain);
 
   /// Joins the crowd-shared valley store as a member of `cluster` (see
   /// core::routing_cluster_key). The store is borrowed and must outlive the
@@ -111,21 +152,49 @@ class DrongoClient : public dns::SubnetSelector {
     return shared_assimilations_;
   }
 
-  /// Attaches an obs registry to the client AND its decision engine
+  /// Attaches an obs registry to the client AND its decision engines
   /// (borrowed; nullptr detaches). Resolutions tally `core.drongo.*`:
-  /// total/assimilated queries and assimilation fallbacks.
+  /// total/assimilated queries and assimilation fallbacks. Zone engines
+  /// share the `core.engine.*` counters; the tracked-windows gauge reads
+  /// whichever engine observed last.
   void set_registry(obs::Registry* registry) {
     registry_ = registry;
     engine_.set_registry(registry);
+    for (auto& [zone, engine] : zones_) engine->set_registry(registry);
     if (racer_ != nullptr) racer_->set_registry(registry);
   }
 
  private:
+  /// A watched domain's schedule state.
+  struct Watched {
+    WatchedDomain domain;
+    double next_hours;  ///< where the domain's schedule continues
+    int queued = 0;     ///< its trials waiting in queue_
+  };
+
+  /// Queues the next horizon of trials for watched_[index].
+  void schedule_more(std::size_t index);
+
   /// Engine choice first, crowd knowledge second. Tallies the shared-hit
   /// counters when the crowd supplies the subnet.
-  std::optional<net::Prefix> choose_subnet(const std::string& domain);
+  std::optional<net::Prefix> choose_subnet(const dns::DnsName& domain);
+
+  /// choose_subnet plus the per-query tallies every resolution path shares:
+  /// total_ and `core.drongo.queries`, assimilated_ and
+  /// `core.drongo.assimilated` when a subnet is chosen.
+  std::optional<net::Prefix> count_choice(const dns::DnsName& domain);
+
+  void note(const char* name) {
+    if (registry_ != nullptr) registry_->add(name);
+  }
 
   DecisionEngine engine_;
+  std::map<dns::DnsName, std::unique_ptr<DecisionEngine>> zones_;
+  std::uint64_t next_zone_seed_;
+  net::Rng schedule_rng_;
+  std::vector<Watched> watched_;              // registration order, no duplicates
+  std::multimap<double, std::size_t> queue_;  // trial time -> watched_ index
+  double clock_hours_ = 0.0;
   std::unique_ptr<ReplicaRacer> racer_;  ///< non-null while GWTW is enabled
   int gwtw_k_ = 0;
   ValleyStore* store_ = nullptr;  // borrowed; optional crowd knowledge

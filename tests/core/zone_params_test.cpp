@@ -1,4 +1,5 @@
-#include "core/zone_params.hpp"
+// Per-zone (vf, vt) parameters (§5.2) on DrongoClient.
+#include "core/drongo.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,12 +20,15 @@ measure::TrialRecord trial(const std::string& domain, double ratio) {
 }
 
 TEST(ZoneParamsTest, RoutesDomainsToTheirZoneEngines) {
-  ZoneParamsSelector selector;
+  DrongoClient selector;
   DrongoParams lenient;
   lenient.min_valley_frequency = 0.2;
   lenient.valley_threshold = 1.0;
   selector.set_zone_params(dns::DnsName::must_parse("alicdn.sim"), lenient);
-  EXPECT_EQ(selector.zone_count(), 1u);
+  EXPECT_NE(&selector.engine_for(dns::DnsName::must_parse("img.alicdn.sim")),
+            &selector.engine());
+  EXPECT_EQ(&selector.engine_for(dns::DnsName::must_parse("img.googlecdn.sim")),
+            &selector.engine());
 
   // Ratios of 0.97: valleys at vt=1.0 (lenient zone) but NOT at the default
   // vt=0.95 — so only the configured zone ends up assimilating.
@@ -41,7 +45,7 @@ TEST(ZoneParamsTest, RoutesDomainsToTheirZoneEngines) {
 }
 
 TEST(ZoneParamsTest, MostSpecificZoneWins) {
-  ZoneParamsSelector selector;
+  DrongoClient selector;
   DrongoParams strict;  // vf=1.0, vt=0.95
   DrongoParams lenient;
   lenient.min_valley_frequency = 0.2;
@@ -62,7 +66,7 @@ TEST(ZoneParamsTest, MostSpecificZoneWins) {
 }
 
 TEST(ZoneParamsTest, DefaultEngineHandlesUnconfiguredZones) {
-  ZoneParamsSelector selector;  // default params vf=1.0, vt=0.95
+  DrongoClient selector;  // default params vf=1.0, vt=0.95
   for (int i = 0; i < 5; ++i) {
     selector.observe(trial("img.any.sim", 0.5));
   }
@@ -72,7 +76,7 @@ TEST(ZoneParamsTest, DefaultEngineHandlesUnconfiguredZones) {
 }
 
 TEST(ZoneParamsTest, ReconfiguringAZoneResetsItsWindows) {
-  ZoneParamsSelector selector;
+  DrongoClient selector;
   DrongoParams lenient;
   lenient.min_valley_frequency = 0.2;
   lenient.valley_threshold = 1.0;
@@ -84,6 +88,28 @@ TEST(ZoneParamsTest, ReconfiguringAZoneResetsItsWindows) {
   selector.set_zone_params(dns::DnsName::must_parse("alicdn.sim"), lenient);
   EXPECT_FALSE(selector.select_subnet(dns::DnsName::must_parse("img.alicdn.sim"), client)
                    .has_value());
+}
+
+TEST(ZoneParamsTest, ZoneTrialsLeaveTheDefaultEngineAlone) {
+  DrongoClient selector;
+  for (int i = 0; i < 5; ++i) selector.observe(trial("img.any.sim", 0.5));
+  const net::Prefix client = net::Prefix::must_parse("20.0.40.0/24");
+  const auto before = selector.select_subnet(dns::DnsName::must_parse("img.any.sim"), client);
+  ASSERT_TRUE(before.has_value());
+  const auto windows_before = selector.engine().tracked_windows();
+
+  DrongoParams lenient;
+  lenient.min_valley_frequency = 0.2;
+  lenient.valley_threshold = 1.0;
+  selector.set_zone_params(dns::DnsName::must_parse("alicdn.sim"), lenient);
+  for (int i = 0; i < 5; ++i) selector.observe(trial("img.alicdn.sim", 0.5));
+
+  // The zone's trials land in the zone engine only.
+  EXPECT_EQ(selector.engine().tracked_windows(), windows_before);
+  EXPECT_FALSE(selector.engine().choose("img.alicdn.sim").has_value());
+  EXPECT_TRUE(selector.select_subnet(dns::DnsName::must_parse("img.alicdn.sim"), client)
+                  .has_value());
+  EXPECT_EQ(selector.select_subnet(dns::DnsName::must_parse("img.any.sim"), client), before);
 }
 
 }  // namespace

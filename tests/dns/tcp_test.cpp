@@ -1,6 +1,8 @@
-// DNS over TCP, truncation, and the UDP->TCP fallback path.
+// DNS over TCP, truncation, and the UDP->TCP fallback path. The TCP server
+// side is a single-listener DaemonServer's framed TCP listener.
 #include <gtest/gtest.h>
 
+#include "dns/daemon_server.hpp"
 #include "dns/tcp.hpp"
 #include "dns/udp.hpp"
 #include "net/error.hpp"
@@ -25,6 +27,12 @@ class BigAnswerServer : public DnsServer {
     return response;
   }
 };
+
+DaemonServerConfig one_listener() {
+  DaemonServerConfig config;
+  config.listeners = 1;
+  return config;
+}
 
 TEST(TruncationTest, MaxPayloadRules) {
   Message no_edns;
@@ -63,27 +71,29 @@ TEST(TruncationTest, OversizeMessagesTruncatedWithTc) {
 
 TEST(TcpDnsTest, QueryOverTcp) {
   BigAnswerServer handler;
-  TcpDnsServer server(&handler, 0);
-  ASSERT_NE(server.port(), 0);
+  DaemonServer server(&handler, one_listener());
+  ASSERT_NE(server.tcp_port(), 0);
 
   TcpDnsClient client(2000);
   const net::Ipv4Addr virtual_server(9, 9, 9, 9);
-  client.register_endpoint(virtual_server, server.port());
+  client.register_endpoint(virtual_server, server.tcp_port());
 
   const auto query = Message::make_query(0x42, DnsName::must_parse("img.cdn.sim"));
   const auto reply = Message::decode(
       client.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, query.encode()));
   EXPECT_EQ(reply.header.id, 0x42);
   ASSERT_EQ(reply.answer_addresses().size(), 1u);
+  server.stop();
+  EXPECT_EQ(server.stats().tcp_queries, 1u);
   EXPECT_GE(server.served(), 1u);
 }
 
 TEST(TcpDnsTest, LargeAnswerIntactOverTcp) {
   BigAnswerServer handler;
-  TcpDnsServer server(&handler, 0);
+  DaemonServer server(&handler, one_listener());
   TcpDnsClient client(2000);
   const net::Ipv4Addr virtual_server(9, 9, 9, 9);
-  client.register_endpoint(virtual_server, server.port());
+  client.register_endpoint(virtual_server, server.tcp_port());
 
   const auto query = Message::make_query(7, DnsName::must_parse("big.cdn.sim"));
   const auto reply = Message::decode(
@@ -120,12 +130,12 @@ TEST(TcpDnsTest, UdpTruncatesOversizeAnswers) {
 TEST(TcpDnsTest, FallbackTransportRetriesOverTcp) {
   BigAnswerServer handler;
   UdpDnsServer udp_server(&handler, 0);
-  TcpDnsServer tcp_server(&handler, 0);
+  DaemonServer tcp_server(&handler, one_listener());
   UdpDnsClient udp_client(2000);
   TcpDnsClient tcp_client(2000);
   const net::Ipv4Addr virtual_server(9, 9, 9, 9);
   udp_client.register_endpoint(virtual_server, udp_server.port());
-  tcp_client.register_endpoint(virtual_server, tcp_server.port());
+  tcp_client.register_endpoint(virtual_server, tcp_server.tcp_port());
 
   TruncationFallbackTransport transport(&udp_client, &tcp_client);
 
@@ -149,11 +159,11 @@ TEST(TcpDnsTest, FallbackTransportRetriesOverTcp) {
 
 TEST(TcpDnsTest, GarbageConnectionDoesNotKillServer) {
   BigAnswerServer handler;
-  TcpDnsServer server(&handler, 0);
+  DaemonServer server(&handler, one_listener());
   // Open a raw connection, send garbage framing, close.
   TcpDnsClient garbage(200);
   const net::Ipv4Addr virtual_server(9, 9, 9, 9);
-  garbage.register_endpoint(virtual_server, server.port());
+  garbage.register_endpoint(virtual_server, server.tcp_port());
   const std::uint8_t junk[] = {0xFF, 0xFE, 0xFD};
   try {
     garbage.exchange(net::Ipv4Addr(1, 1, 1, 1), virtual_server, junk);
@@ -161,11 +171,13 @@ TEST(TcpDnsTest, GarbageConnectionDoesNotKillServer) {
   }
   // Server still answers a valid query afterwards.
   TcpDnsClient client(2000);
-  client.register_endpoint(virtual_server, server.port());
+  client.register_endpoint(virtual_server, server.tcp_port());
   const auto query = Message::make_query(3, DnsName::must_parse("img.cdn.sim"));
   const auto reply = Message::decode(
       client.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, query.encode()));
   EXPECT_EQ(reply.header.id, 3);
+  server.stop();
+  EXPECT_GE(server.stats().malformed, 1u);
 }
 
 }  // namespace
