@@ -1,19 +1,13 @@
 // Serving-path bench: does singleflight coalescing actually collapse a
-// thundering herd, and what does sharding the cache lock buy?
+// thundering herd?
 //
-// Workload 1 (coalescing): W waves of T clients ask for the same hot name
-// with the same ECS subnet, each wave starting from an expired cache (a hot
-// name's TTL lapsing is exactly when the herd stampedes). Upstream
-// exchanges are counted with coalescing off, then on; the ratio is the
-// headline `coalesce_factor` and the bench FAILS (exit 1) below 2x.
-//
-// Workload 2 (sharding): T threads hammer a spread of distinct names and
-// subnets through a 1-shard and then an 8-shard cache; wall-clock seconds
-// for both are reported (informational — timings, unlike exchange counts,
-// are machine-dependent).
+// W waves of T clients ask for the same hot name with the same ECS subnet,
+// each wave starting from an expired cache (a hot name's TTL lapsing is
+// exactly when the herd stampedes). Upstream exchanges are counted with
+// coalescing off, then on; the ratio is the headline `coalesce_factor` and
+// the bench FAILS (exit 1) below 2x.
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <span>
@@ -22,14 +16,8 @@
 #include <vector>
 
 #include "analysis/render.hpp"
-#include "cdn/authoritative.hpp"
-#include "cdn/deploy.hpp"
-#include "cdn/resolver.hpp"
-#include "dns/inmemory.hpp"
-#include "net/clock.hpp"
+#include "cdn/serving_world.hpp"
 #include "obs/bench_report.hpp"
-#include "topology/as_gen.hpp"
-#include "topology/world.hpp"
 
 using namespace drongo;
 
@@ -55,76 +43,18 @@ class SlowTransport : public dns::DnsTransport {
   dns::DnsTransport* inner_;
 };
 
-/// One self-contained world: a google-like CDN, its authoritative, and a
-/// client host, behind the in-memory DNS fabric.
-struct World {
-  World() {
-    topology::AsGenConfig as_config;
-    as_config.tier1_count = 4;
-    as_config.tier2_count = 8;
-    as_config.stub_count = 30;
-    as_config.seed = 2026;
-    auto graph = topology::generate_as_graph(as_config);
-    net::Rng rng(2027);
-    const auto plan = cdn::plan_cdn(graph, cdn::google_like(), rng);
-    world = std::make_unique<topology::World>(std::move(graph));
-    provider = std::make_unique<cdn::CdnProvider>(cdn::deploy_cdn(*world, plan));
-    auth = std::make_unique<cdn::CdnAuthoritative>(provider.get());
-    const auto auth_addr =
-        world->add_host(provider->as_index(), topology::HostKind::kServer, 0);
-    network.register_server(auth_addr, auth.get());
-    slow = std::make_unique<SlowTransport>(&network);
-
-    std::size_t t1 = 0;
-    for (std::size_t v = 0; v < world->graph().node_count(); ++v) {
-      if (world->graph().node(v).tier == topology::AsTier::kTier1) {
-        t1 = v;
-        break;
-      }
-    }
-    resolver_addr = world->add_host(t1, topology::HostKind::kServer, 0);
-    auth_address = auth_addr;
-    for (std::size_t v = 0; v < world->graph().node_count(); ++v) {
-      if (world->graph().node(v).tier == topology::AsTier::kStub) {
-        client = world->add_host(v, topology::HostKind::kClient);
-        break;
-      }
-    }
-  }
-
-  /// A fresh resolver over this world (queries go straight to handle(), so
-  /// the resolver itself is never registered on the fabric).
-  std::unique_ptr<cdn::PublicResolver> make_resolver(const cdn::ServingConfig& serving,
-                                                     bool slow_upstream) {
-    auto resolver = std::make_unique<cdn::PublicResolver>(
-        slow_upstream ? static_cast<dns::DnsTransport*>(slow.get()) : &network,
-        resolver_addr, serving);
-    resolver->register_zone(dns::DnsName::must_parse(provider->profile().zone),
-                            auth_address);
-    return resolver;
-  }
-
-  std::unique_ptr<topology::World> world;
-  std::unique_ptr<cdn::CdnProvider> provider;
-  std::unique_ptr<cdn::CdnAuthoritative> auth;
-  dns::InMemoryDnsNetwork network;
-  std::unique_ptr<SlowTransport> slow;
-  net::Ipv4Addr auth_address;
-  net::Ipv4Addr resolver_addr;
-  net::Ipv4Addr client;
-};
-
 /// W waves x T threads of one hot (qname, subnet); every wave starts past
 /// the previous answers' TTL. Returns upstream exchange count.
-std::uint64_t run_herd(World& env, bool coalesce) {
+std::uint64_t run_herd(cdn::ServingWorld& env, net::Ipv4Addr client, bool coalesce) {
   cdn::ServingConfig serving;
   serving.enable_cache = true;
   serving.shards = 8;
   serving.coalesce = coalesce;
-  auto resolver = env.make_resolver(serving, /*slow_upstream=*/true);
+  SlowTransport slow(&env.network);
+  auto resolver = env.make_resolver(serving, &slow);
   const auto hot =
       dns::DnsName::must_parse("img." + env.provider->profile().zone);
-  const auto query = dns::Message::make_query(7, hot, net::Prefix(env.client, 24));
+  const auto query = dns::Message::make_query(7, hot, net::Prefix(client, 24));
 
   for (int wave = 0; wave < kWaves; ++wave) {
     // One simulated hour per wave: far past any answer TTL, so every wave
@@ -137,7 +67,7 @@ std::uint64_t run_herd(World& env, bool coalesce) {
       threads.emplace_back([&] {
         ready.fetch_add(1);
         while (ready.load() < kThreads) std::this_thread::yield();
-        (void)resolver->handle(query, env.client);
+        (void)resolver->handle(query, client);
       });
     }
     for (auto& thread : threads) thread.join();
@@ -145,58 +75,18 @@ std::uint64_t run_herd(World& env, bool coalesce) {
   return resolver->upstream_queries();
 }
 
-/// T threads hammer distinct (name, subnet) pairs; returns wall seconds.
-double run_hammer(World& env, std::size_t shards, std::uint64_t* hits_out) {
-  cdn::ServingConfig serving;
-  serving.enable_cache = true;
-  serving.shards = shards;
-  auto resolver = env.make_resolver(serving, /*slow_upstream=*/false);
-  resolver->set_time_ms(0);
-  const auto names = env.auth->content_names();
-
-  constexpr int kQueriesPerThread = 400;
-  std::atomic<int> ready{0};
-  const net::Stopwatch watch;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) std::this_thread::yield();
-      for (int i = 0; i < kQueriesPerThread; ++i) {
-        const auto& name = names[static_cast<std::size_t>(i) % names.size()];
-        // A distinct /24 per (thread, name) spreads entries over scopes.
-        const net::Prefix subnet(
-            net::Ipv4Addr(20, static_cast<std::uint8_t>(t),
-                          static_cast<std::uint8_t>(i % names.size()), 0),
-            24);
-        const auto query =
-            dns::Message::make_query(static_cast<std::uint16_t>(i), name, subnet);
-        (void)resolver->handle(query, env.client);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  const double seconds = watch.seconds();
-  if (hits_out != nullptr) *hits_out = resolver->cache_stats().hits;
-  return seconds;
-}
-
 }  // namespace
 
 int main() {
-  World env;
+  cdn::ServingWorld env(cdn::ServingWorld::graph(2026), 2027);
+  const net::Ipv4Addr client = env.add_stub_client();
   std::cout << "Serving-path bench: " << kThreads << " clients, " << kWaves
             << " cold-cache waves on one hot name...\n\n";
 
-  const std::uint64_t upstream_uncoalesced = run_herd(env, /*coalesce=*/false);
-  const std::uint64_t upstream_coalesced = run_herd(env, /*coalesce=*/true);
+  const std::uint64_t upstream_uncoalesced = run_herd(env, client, /*coalesce=*/false);
+  const std::uint64_t upstream_coalesced = run_herd(env, client, /*coalesce=*/true);
   const double factor = static_cast<double>(upstream_uncoalesced) /
                         static_cast<double>(std::max<std::uint64_t>(upstream_coalesced, 1));
-
-  std::uint64_t hammer_hits = 0;
-  const double seconds_1shard = run_hammer(env, 1, nullptr);
-  const double seconds_8shard = run_hammer(env, 8, &hammer_hits);
 
   std::vector<std::vector<std::string>> cells;
   cells.push_back({"upstream exchanges, coalescing off",
@@ -204,8 +94,6 @@ int main() {
   cells.push_back({"upstream exchanges, coalescing on",
                    std::to_string(upstream_coalesced)});
   cells.push_back({"coalesce factor", analysis::fmt(factor, 2) + "x (need >= 2x)"});
-  cells.push_back({"hammer wall seconds, 1 shard", analysis::fmt(seconds_1shard, 4)});
-  cells.push_back({"hammer wall seconds, 8 shards", analysis::fmt(seconds_8shard, 4)});
   std::cout << analysis::render_table("Serving path", {"Metric", "Value"}, cells);
 
   obs::BenchReport report("serving");
@@ -216,9 +104,6 @@ int main() {
   report.set_integer("upstream_coalesced",
                      static_cast<std::int64_t>(upstream_coalesced));
   report.set_number("coalesce_factor", factor);
-  report.set_number("hammer_seconds_1shard", seconds_1shard);
-  report.set_number("hammer_seconds_8shard", seconds_8shard);
-  report.set_integer("hammer_cache_hits", static_cast<std::int64_t>(hammer_hits));
   const std::string out = report.default_path();
   report.write_file(out);
   std::cout << "\nwrote " << out << "\n";

@@ -101,23 +101,6 @@ std::vector<std::uint8_t> TcpDnsClient::exchange(net::Ipv4Addr /*source*/,
   return reply;
 }
 
-TruncationFallbackTransport::TruncationFallbackTransport(DnsTransport* udp,
-                                                         DnsTransport* tcp)
-    : udp_(udp), tcp_(tcp) {
-  if (udp_ == nullptr || tcp_ == nullptr) {
-    throw net::InvalidArgument("null transport in fallback");
-  }
-}
-
-std::vector<std::uint8_t> TruncationFallbackTransport::exchange(
-    net::Ipv4Addr source, net::Ipv4Addr destination, std::span<const std::uint8_t> query) {
-  auto reply = udp_->exchange(source, destination, query);
-  const Message decoded = Message::decode(reply);
-  if (!decoded.header.tc) return reply;
-  fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  return tcp_->exchange(source, destination, query);
-}
-
 std::size_t max_udp_payload(const Message& query) {
   if (query.edns) {
     // Below 512 an advertisement is ignored (RFC 6891 §6.2.3).

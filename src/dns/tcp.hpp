@@ -1,13 +1,12 @@
-// DNS over TCP (RFC 1035 §4.2.2) and UDP-truncation fallback.
+// DNS over TCP (RFC 1035 §4.2.2) and UDP truncation.
 //
 // UDP answers that exceed the client's advertised payload size come back
 // truncated (TC=1); real stubs then retry the query over TCP, where
 // messages are 2-byte-length-prefixed. This module provides the TCP client
-// plus a transport that performs the fallback transparently; the serving
-// side is DaemonServer's TCP listener.
+// (StubResolver::set_fallback_transport takes it for the retry) and the
+// truncation rules; the serving side is DaemonServer's TCP listener.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 
@@ -29,29 +28,6 @@ class TcpDnsClient : public DnsTransport {
  private:
   int timeout_ms_;
   std::unordered_map<net::Ipv4Addr, std::uint16_t> endpoints_;
-};
-
-/// UDP-first transport with automatic TCP retry on truncation: the stub
-/// behaviour RFC 1035 prescribes. Wraps any two transports, so it also
-/// composes with the in-memory fabric in tests.
-class TruncationFallbackTransport : public DnsTransport {
- public:
-  /// Both transports are borrowed and must outlive this object.
-  TruncationFallbackTransport(DnsTransport* udp, DnsTransport* tcp);
-
-  std::vector<std::uint8_t> exchange(net::Ipv4Addr source, net::Ipv4Addr destination,
-                                     std::span<const std::uint8_t> query) override;
-
-  /// How many exchanges fell back to TCP.
-  [[nodiscard]] std::uint64_t fallbacks() const {
-    return fallbacks_.load(std::memory_order_relaxed);
-  }
-
- private:
-  DnsTransport* udp_;
-  DnsTransport* tcp_;
-  /// Relaxed atomic: the transport may be shared across campaign workers.
-  std::atomic<std::uint64_t> fallbacks_{0};
 };
 
 /// Truncates `response` to fit `max_bytes` when necessary: drops answer/

@@ -9,13 +9,9 @@
 #include <thread>
 #include <vector>
 
-#include "cdn/authoritative.hpp"
-#include "cdn/deploy.hpp"
-#include "cdn/resolver.hpp"
-#include "dns/inmemory.hpp"
+#include "cdn/serving_world.hpp"
 #include "dns/stub_resolver.hpp"
 #include "obs/metrics.hpp"
-#include "topology/as_gen.hpp"
 
 namespace drongo {
 namespace {
@@ -39,66 +35,28 @@ class SlowTransport : public dns::DnsTransport {
 
 class ServingResolverFixture : public ::testing::Test {
  protected:
-  ServingResolverFixture() {
-    topology::AsGenConfig as_config;
-    as_config.tier1_count = 4;
-    as_config.tier2_count = 8;
-    as_config.stub_count = 30;
-    as_config.seed = 331;
-    auto graph = topology::generate_as_graph(as_config);
-    net::Rng rng(332);
-    plan_ = cdn::plan_cdn(graph, cdn::google_like(), rng);
-    world_ = std::make_unique<topology::World>(std::move(graph));
-    provider_ = std::make_unique<cdn::CdnProvider>(cdn::deploy_cdn(*world_, plan_));
-    auth_ = std::make_unique<cdn::CdnAuthoritative>(provider_.get());
-    auth_addr_ = world_->add_host(provider_->as_index(), topology::HostKind::kServer, 0);
-    network_.register_server(auth_addr_, auth_.get());
-    slow_ = std::make_unique<SlowTransport>(&network_);
+  ServingResolverFixture()
+      : env_(cdn::ServingWorld::graph(331), 332),
+        slow_(&env_.network),
+        client_(env_.add_stub_client()) {}
 
-    std::size_t t1 = 0;
-    for (std::size_t v = 0; v < world_->graph().node_count(); ++v) {
-      if (world_->graph().node(v).tier == topology::AsTier::kTier1) {
-        t1 = v;
-        break;
-      }
-    }
-    resolver_addr_ = world_->add_host(t1, topology::HostKind::kServer, 0);
-
-    for (std::size_t v = 0; v < world_->graph().node_count(); ++v) {
-      if (world_->graph().node(v).tier == topology::AsTier::kStub) {
-        client_ = world_->add_host(v, topology::HostKind::kClient);
-        break;
-      }
-    }
-  }
-
-  /// Builds the resolver under test; `slow` routes its upstream exchanges
-  /// through the wall-clock delay decorator.
+  /// Builds the resolver under test and registers it on the fabric; `slow`
+  /// routes its upstream exchanges through the wall-clock delay decorator.
   cdn::PublicResolver& make_resolver(const cdn::ServingConfig& serving,
                                      bool slow = false) {
-    resolver_ = std::make_unique<cdn::PublicResolver>(
-        slow ? static_cast<dns::DnsTransport*>(slow_.get()) : &network_,
-        resolver_addr_, serving);
-    resolver_->register_zone(dns::DnsName::must_parse(provider_->profile().zone),
-                             auth_addr_);
-    network_.register_server(resolver_addr_, resolver_.get());
+    resolver_ = env_.make_resolver(serving, slow ? &slow_ : nullptr);
+    env_.network.register_server(env_.resolver_address, resolver_.get());
     return *resolver_;
   }
 
   dns::DnsName content_name() const {
-    return dns::DnsName::must_parse("img." + provider_->profile().zone);
+    return dns::DnsName::must_parse("img." + env_.provider->profile().zone);
   }
 
-  cdn::CdnPlan plan_;
-  std::unique_ptr<topology::World> world_;
-  std::unique_ptr<cdn::CdnProvider> provider_;
-  std::unique_ptr<cdn::CdnAuthoritative> auth_;
-  dns::InMemoryDnsNetwork network_;
-  std::unique_ptr<SlowTransport> slow_;
-  std::unique_ptr<cdn::PublicResolver> resolver_;
-  net::Ipv4Addr auth_addr_;
-  net::Ipv4Addr resolver_addr_;
+  cdn::ServingWorld env_;
+  SlowTransport slow_;
   net::Ipv4Addr client_;
+  std::unique_ptr<cdn::PublicResolver> resolver_;
 };
 
 TEST_F(ServingResolverFixture, ShardedCacheStillRespectsEcsScope) {
@@ -108,7 +66,7 @@ TEST_F(ServingResolverFixture, ShardedCacheStillRespectsEcsScope) {
   serving.coalesce = true;
   auto& resolver = make_resolver(serving);
   resolver.set_time_ms(0);
-  dns::StubResolver stub(&network_, client_, resolver_addr_, 5);
+  dns::StubResolver stub(&env_.network, client_, env_.resolver_address, 5);
 
   const auto own = stub.resolve_with_own_subnet(content_name());
   ASSERT_TRUE(own.ok());
@@ -123,7 +81,7 @@ TEST_F(ServingResolverFixture, ShardedCacheStillRespectsEcsScope) {
 
   // A faraway assimilated subnet must not reuse the scoped entry.
   const auto foreign = net::Prefix(
-      net::Ipv4Addr(world_->block_of(9).network().to_uint() | (40u << 8)), 24);
+      net::Ipv4Addr(env_.world->block_of(9).network().to_uint() | (40u << 8)), 24);
   const auto assimilated = stub.resolve(content_name(), foreign);
   ASSERT_TRUE(assimilated.ok());
   EXPECT_GT(resolver.upstream_queries(), after_first);
@@ -135,9 +93,9 @@ TEST_F(ServingResolverFixture, NegativeAnswersAreCached) {
   serving.shards = 4;
   auto& resolver = make_resolver(serving);
   resolver.set_time_ms(0);
-  dns::StubResolver stub(&network_, client_, resolver_addr_, 5);
+  dns::StubResolver stub(&env_.network, client_, env_.resolver_address, 5);
   const auto missing =
-      dns::DnsName::must_parse("no-such-label." + provider_->profile().zone);
+      dns::DnsName::must_parse("no-such-label." + env_.provider->profile().zone);
 
   const auto first = stub.resolve(missing);
   EXPECT_TRUE(first.name_error());
@@ -164,9 +122,9 @@ TEST_F(ServingResolverFixture, NegativeCachingCanBeDisabled) {
   serving.negative_cache = false;
   auto& resolver = make_resolver(serving);
   resolver.set_time_ms(0);
-  dns::StubResolver stub(&network_, client_, resolver_addr_, 5);
+  dns::StubResolver stub(&env_.network, client_, env_.resolver_address, 5);
   const auto missing =
-      dns::DnsName::must_parse("no-such-label." + provider_->profile().zone);
+      dns::DnsName::must_parse("no-such-label." + env_.provider->profile().zone);
 
   EXPECT_TRUE(stub.resolve(missing).name_error());
   const auto after_first = resolver.upstream_queries();
@@ -219,7 +177,7 @@ TEST_F(ServingResolverFixture, ServingMetricsReachTheRegistry) {
   auto& resolver = make_resolver(serving);
   resolver.set_registry(&registry);
   resolver.set_time_ms(0);
-  dns::StubResolver stub(&network_, client_, resolver_addr_, 5);
+  dns::StubResolver stub(&env_.network, client_, env_.resolver_address, 5);
 
   ASSERT_TRUE(stub.resolve_with_own_subnet(content_name()).ok());
   ASSERT_TRUE(stub.resolve_with_own_subnet(content_name()).ok());

@@ -9,17 +9,14 @@
 #include <chrono>
 #include <thread>
 
-#include "cdn/authoritative.hpp"
-#include "cdn/deploy.hpp"
-#include "cdn/resolver.hpp"
+#include "cdn/serving_world.hpp"
 #include "dns/daemon_server.hpp"
-#include "dns/inmemory.hpp"
+#include "dns/stub_resolver.hpp"
 #include "dns/tcp.hpp"
 #include "dns/udp.hpp"
 #include "net/error.hpp"
 #include "netio/event_loop.hpp"
 #include "topology/as_gen.hpp"
-#include "topology/world.hpp"
 
 namespace drongo::dns {
 namespace {
@@ -82,15 +79,15 @@ class EchoServer : public DnsServer {
   }
 };
 
-/// BigAnswerServer's shape: names starting with "big" get an answer far
-/// beyond any UDP payload advertisement, forcing TC and the TCP retry.
+/// BigAnswerServer's shape: big.cdn.sim (in any 0x20 casing) gets an answer
+/// far beyond any UDP payload advertisement, forcing TC and the TCP retry.
 class SometimesBigServer : public DnsServer {
  public:
   Message handle(const Message& query, net::Ipv4Addr /*source*/) override {
     Message response = Message::make_response(query, Rcode::kNoError, 24);
     const auto& name = query.questions[0].name;
     response.answers.push_back(ResourceRecord::a(name, net::Ipv4Addr(21, 1, 1, 1), 30));
-    if (name.labels().front() == "big") {
+    if (name == DnsName::must_parse("big.cdn.sim")) {
       for (int i = 0; i < 40; ++i) {
         response.answers.push_back(
             ResourceRecord::txt(name, {std::string(120, static_cast<char>('a' + i % 26))}));
@@ -191,24 +188,26 @@ TEST(DaemonServerTest, TruncationFallsBackToTcp) {
   DaemonServer daemon(&handler, config);
   ASSERT_NE(daemon.tcp_port(), 0);
 
+  // The stub's own RFC 1035 retry path: UDP first, TCP on TC=1, both
+  // against the one daemon.
   UdpDnsClient udp_client(2000);
   TcpDnsClient tcp_client(2000);
   const net::Ipv4Addr virtual_server(9, 9, 9, 9);
   udp_client.register_endpoint(virtual_server, daemon.udp_port());
   tcp_client.register_endpoint(virtual_server, daemon.tcp_port());
-  TruncationFallbackTransport transport(&udp_client, &tcp_client);
+  StubResolver stub(&udp_client, net::Ipv4Addr(10, 0, 0, 1), virtual_server, 7);
+  stub.set_fallback_transport(&tcp_client);
 
-  const auto big = Message::make_query(7, DnsName::must_parse("big.cdn.sim"),
-                                       net::Prefix::must_parse("10.0.0.0/24"));
-  const auto reply = Message::decode(
-      transport.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, big.encode()));
-  EXPECT_FALSE(reply.header.tc);
-  EXPECT_EQ(reply.answers.size(), 41u);
-  EXPECT_EQ(transport.fallbacks(), 1u);
+  const auto result = stub.resolve(DnsName::must_parse("big.cdn.sim"),
+                                   net::Prefix::must_parse("10.0.0.0/24"));
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.used_tcp);
+  EXPECT_EQ(result.addresses, std::vector<net::Ipv4Addr>{net::Ipv4Addr(21, 1, 1, 1)});
+  EXPECT_EQ(stub.stats().tcp_fallbacks, 1u);
 
   daemon.stop();
   const auto stats = daemon.stats();
-  EXPECT_GE(stats.truncated, 1u);
+  EXPECT_EQ(stats.truncated, 1u);
   EXPECT_EQ(stats.tcp_queries, 1u);
   EXPECT_EQ(stats.tcp_responses, 1u);
 }
@@ -401,57 +400,24 @@ TEST(DaemonServerTest, MultipleListenersShareThePort) {
 
 // ---- The full serving stack behind the daemon ------------------------------
 
-/// A miniature CDN world: seeded AS graph, google_like deployment, and a
-/// PublicResolver with the sharded cache + coalescing — the daemon bench's
-/// backend, shrunk to test size.
-struct MiniWorld {
-  MiniWorld() {
-    topology::AsGenConfig as_config;
-    as_config.tier1_count = 2;
-    as_config.tier2_count = 4;
-    as_config.stub_count = 10;
-    as_config.seed = 2026;
-    auto graph = topology::generate_as_graph(as_config);
-    net::Rng rng(2027);
-    const auto plan = cdn::plan_cdn(graph, cdn::google_like(), rng);
-    world = std::make_unique<topology::World>(std::move(graph));
-    provider = std::make_unique<cdn::CdnProvider>(cdn::deploy_cdn(*world, plan));
-    auth = std::make_unique<cdn::CdnAuthoritative>(provider.get());
-    const auto auth_addr =
-        world->add_host(provider->as_index(), topology::HostKind::kServer, 0);
-    network.register_server(auth_addr, auth.get());
-
-    std::size_t t1 = 0;
-    for (std::size_t v = 0; v < world->graph().node_count(); ++v) {
-      if (world->graph().node(v).tier == topology::AsTier::kTier1) {
-        t1 = v;
-        break;
-      }
-    }
-    const auto resolver_addr = world->add_host(t1, topology::HostKind::kServer, 0);
-    cdn::ServingConfig serving;
-    serving.enable_cache = true;
-    serving.shards = 4;
-    serving.coalesce = true;
-    resolver = std::make_unique<cdn::PublicResolver>(&network, resolver_addr, serving);
-    resolver->register_zone(dns::DnsName::must_parse(provider->profile().zone),
-                            auth_addr);
-    resolver->set_time_ms(0);  // frozen before any socket traffic
-  }
-
-  std::unique_ptr<topology::World> world;
-  std::unique_ptr<cdn::CdnProvider> provider;
-  std::unique_ptr<cdn::CdnAuthoritative> auth;
-  dns::InMemoryDnsNetwork network;
-  std::unique_ptr<cdn::PublicResolver> resolver;
-};
-
 TEST(DaemonServerTest, PublicResolverServesEcsTailoredAnswersOverSockets) {
-  MiniWorld env;
+  // The daemon bench's backend shrunk to test size: a 16-AS world and a
+  // resolver with the sharded cache and coalescing.
+  topology::AsGenConfig as_config;
+  as_config.tier1_count = 2;
+  as_config.tier2_count = 4;
+  as_config.stub_count = 10;
+  as_config.seed = 2026;
+  cdn::ServingWorld env(as_config, 2027);
+  cdn::ServingConfig serving;
+  serving.enable_cache = true;
+  serving.shards = 4;
+  serving.coalesce = true;
+  const auto resolver = env.make_resolver(serving);
   DaemonServerConfig config;
   config.listeners = 1;
   config.enable_tcp = false;
-  DaemonServer daemon(env.resolver.get(), config);
+  DaemonServer daemon(resolver.get(), config);
 
   UdpSocket client(0);
   client.set_receive_timeout(5000);

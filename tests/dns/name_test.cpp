@@ -327,7 +327,9 @@ TEST(DnsNameOrderOracle, ComparisonsMatchToLowerReference) {
     EXPECT_EQ(a.is_subdomain_of(b), reference_subdomain(a, b));
     EXPECT_EQ(b.is_subdomain_of(a), reference_subdomain(b, a));
     EXPECT_EQ(a.canonical(), net::to_lower(a.to_string()));
-    if (a == b) EXPECT_EQ(std::hash<DnsName>{}(a), std::hash<DnsName>{}(b));
+    if (a == b) {
+      EXPECT_EQ(std::hash<DnsName>{}(a), std::hash<DnsName>{}(b));
+    }
   }
 }
 

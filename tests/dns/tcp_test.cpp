@@ -1,8 +1,9 @@
-// DNS over TCP, truncation, and the UDP->TCP fallback path. The TCP server
-// side is a single-listener DaemonServer's framed TCP listener.
+// DNS over TCP, truncation, and the UDP->TCP fallback path, all against a
+// single-listener DaemonServer (UDP socket and framed TCP listener).
 #include <gtest/gtest.h>
 
 #include "dns/daemon_server.hpp"
+#include "dns/stub_resolver.hpp"
 #include "dns/tcp.hpp"
 #include "dns/udp.hpp"
 #include "net/error.hpp"
@@ -10,15 +11,15 @@
 namespace drongo::dns {
 namespace {
 
-/// Answers A queries normally and "big" queries with a response far larger
-/// than any UDP advertisement.
+/// Answers A queries normally and big.cdn.sim (in any 0x20 casing) with a
+/// response far larger than any UDP advertisement.
 class BigAnswerServer : public DnsServer {
  public:
   Message handle(const Message& query, net::Ipv4Addr /*source*/) override {
     Message response = Message::make_response(query, Rcode::kNoError, 24);
     const auto& name = query.questions[0].name;
     response.answers.push_back(ResourceRecord::a(name, net::Ipv4Addr(21, 1, 1, 1), 30));
-    if (name.labels().front() == "big") {
+    if (name == DnsName::must_parse("big.cdn.sim")) {
       for (int i = 0; i < 40; ++i) {
         response.answers.push_back(
             ResourceRecord::txt(name, {std::string(120, static_cast<char>('a' + i % 26))}));
@@ -113,10 +114,10 @@ TEST(TcpDnsTest, UnknownEndpointThrows) {
 
 TEST(TcpDnsTest, UdpTruncatesOversizeAnswers) {
   BigAnswerServer handler;
-  UdpDnsServer udp_server(&handler, 0);
+  DaemonServer server(&handler, one_listener());
   UdpDnsClient udp_client(2000);
   const net::Ipv4Addr virtual_server(9, 9, 9, 9);
-  udp_client.register_endpoint(virtual_server, udp_server.port());
+  udp_client.register_endpoint(virtual_server, server.udp_port());
 
   // EDNS advertisement of 1232 bytes: the ~5 kB answer cannot fit.
   auto query = Message::make_query(9, DnsName::must_parse("big.cdn.sim"),
@@ -125,36 +126,40 @@ TEST(TcpDnsTest, UdpTruncatesOversizeAnswers) {
       udp_client.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, query.encode()));
   EXPECT_TRUE(reply.header.tc);
   EXPECT_TRUE(reply.answers.empty());
+  server.stop();
+  EXPECT_EQ(server.stats().truncated, 1u);
 }
 
 TEST(TcpDnsTest, FallbackTransportRetriesOverTcp) {
   BigAnswerServer handler;
-  UdpDnsServer udp_server(&handler, 0);
-  DaemonServer tcp_server(&handler, one_listener());
+  DaemonServer server(&handler, one_listener());
   UdpDnsClient udp_client(2000);
   TcpDnsClient tcp_client(2000);
   const net::Ipv4Addr virtual_server(9, 9, 9, 9);
-  udp_client.register_endpoint(virtual_server, udp_server.port());
-  tcp_client.register_endpoint(virtual_server, tcp_server.tcp_port());
-
-  TruncationFallbackTransport transport(&udp_client, &tcp_client);
+  udp_client.register_endpoint(virtual_server, server.udp_port());
+  tcp_client.register_endpoint(virtual_server, server.tcp_port());
+  StubResolver stub(&udp_client, net::Ipv4Addr(10, 0, 0, 1), virtual_server, 3);
+  stub.set_fallback_transport(&tcp_client);
 
   // Small answer: stays on UDP.
-  auto small = Message::make_query(1, DnsName::must_parse("img.cdn.sim"),
-                                   net::Prefix::must_parse("10.0.0.0/24"));
-  auto small_reply = Message::decode(
-      transport.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, small.encode()));
-  EXPECT_FALSE(small_reply.header.tc);
-  EXPECT_EQ(transport.fallbacks(), 0u);
+  const auto small = stub.resolve(DnsName::must_parse("img.cdn.sim"),
+                                  net::Prefix::must_parse("10.0.0.0/24"));
+  ASSERT_TRUE(small.ok());
+  EXPECT_FALSE(small.used_tcp);
+  EXPECT_EQ(stub.stats().tcp_fallbacks, 0u);
 
   // Big answer: transparently completed over TCP.
-  auto big = Message::make_query(2, DnsName::must_parse("big.cdn.sim"),
-                                 net::Prefix::must_parse("10.0.0.0/24"));
-  auto big_reply = Message::decode(
-      transport.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, big.encode()));
-  EXPECT_FALSE(big_reply.header.tc);
-  EXPECT_EQ(big_reply.answers.size(), 41u);
-  EXPECT_EQ(transport.fallbacks(), 1u);
+  const auto big = stub.resolve(DnsName::must_parse("big.cdn.sim"),
+                                net::Prefix::must_parse("10.0.0.0/24"));
+  ASSERT_TRUE(big.ok());
+  EXPECT_TRUE(big.used_tcp);
+  EXPECT_EQ(big.addresses, std::vector<net::Ipv4Addr>{net::Ipv4Addr(21, 1, 1, 1)});
+  EXPECT_EQ(stub.stats().tcp_fallbacks, 1u);
+
+  server.stop();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.truncated, 1u);
+  EXPECT_EQ(stats.tcp_queries, 1u);
 }
 
 TEST(TcpDnsTest, GarbageConnectionDoesNotKillServer) {

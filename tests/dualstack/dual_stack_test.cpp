@@ -14,11 +14,8 @@
 #include <vector>
 
 #include "analysis/evaluation.hpp"
-#include "cdn/authoritative.hpp"
-#include "cdn/deploy.hpp"
-#include "cdn/resolver.hpp"
+#include "cdn/serving_world.hpp"
 #include "dns/daemon_server.hpp"
-#include "dns/inmemory.hpp"
 #include "dns/stub_resolver.hpp"
 #include "dns/udp.hpp"
 #include "measure/hop_filter.hpp"
@@ -35,59 +32,22 @@ namespace {
 
 class DualStackServingFixture : public ::testing::Test {
  protected:
-  DualStackServingFixture() {
-    topology::AsGenConfig as_config;
-    as_config.tier1_count = 4;
-    as_config.tier2_count = 8;
-    as_config.stub_count = 30;
-    as_config.seed = 331;
-    auto graph = topology::generate_as_graph(as_config);
-    net::Rng rng(332);
-    plan_ = cdn::plan_cdn(graph, cdn::google_like(), rng);
-    world_ = std::make_unique<topology::World>(std::move(graph));
-    provider_ = std::make_unique<cdn::CdnProvider>(cdn::deploy_cdn(*world_, plan_));
-    auth_ = std::make_unique<cdn::CdnAuthoritative>(provider_.get());
-    auth_addr_ = world_->add_host(provider_->as_index(), topology::HostKind::kServer, 0);
-    network_.register_server(auth_addr_, auth_.get());
-
-    std::size_t t1 = 0;
-    for (std::size_t v = 0; v < world_->graph().node_count(); ++v) {
-      if (world_->graph().node(v).tier == topology::AsTier::kTier1) {
-        t1 = v;
-        break;
-      }
-    }
-    resolver_addr_ = world_->add_host(t1, topology::HostKind::kServer, 0);
-    for (std::size_t v = 0; v < world_->graph().node_count(); ++v) {
-      if (world_->graph().node(v).tier == topology::AsTier::kStub) {
-        client_ = world_->add_host(v, topology::HostKind::kClient);
-        break;
-      }
-    }
-
+  DualStackServingFixture()
+      : env_(cdn::ServingWorld::graph(331), 332), client_(env_.add_stub_client()) {
     cdn::ServingConfig serving;
     serving.enable_cache = true;
     serving.shards = 4;
-    resolver_ = std::make_unique<cdn::PublicResolver>(&network_, resolver_addr_, serving);
-    resolver_->register_zone(dns::DnsName::must_parse(provider_->profile().zone),
-                             auth_addr_);
-    network_.register_server(resolver_addr_, resolver_.get());
-    resolver_->set_time_ms(0);
+    resolver_ = env_.make_resolver(serving);
+    env_.network.register_server(env_.resolver_address, resolver_.get());
   }
 
   dns::DnsName content_name() const {
-    return dns::DnsName::must_parse("img." + provider_->profile().zone);
+    return dns::DnsName::must_parse("img." + env_.provider->profile().zone);
   }
 
-  cdn::CdnPlan plan_;
-  std::unique_ptr<topology::World> world_;
-  std::unique_ptr<cdn::CdnProvider> provider_;
-  std::unique_ptr<cdn::CdnAuthoritative> auth_;
-  dns::InMemoryDnsNetwork network_;
-  std::unique_ptr<cdn::PublicResolver> resolver_;
-  net::Ipv4Addr auth_addr_;
-  net::Ipv4Addr resolver_addr_;
+  cdn::ServingWorld env_;
   net::Ipv4Addr client_;
+  std::unique_ptr<cdn::PublicResolver> resolver_;
 };
 
 TEST_F(DualStackServingFixture, Family2AnnouncementTailorsLikeFamily1) {
@@ -95,13 +55,13 @@ TEST_F(DualStackServingFixture, Family2AnnouncementTailorsLikeFamily1) {
   // the same front address: /56 embeds the v4 /24 exactly. Both stubs share
   // one seed so their first queries carry the same id — replica rotation is
   // id-seeded, and only the announcement family may differ between the arms.
-  dns::StubResolver v4_stub(&network_, client_, resolver_addr_, 5);
+  dns::StubResolver v4_stub(&env_.network, client_, env_.resolver_address, 5);
   const auto v4_result = v4_stub.resolve_with_own_subnet(content_name());
   ASSERT_TRUE(v4_result.ok());
   ASSERT_TRUE(v4_result.ecs_scope.has_value());
   EXPECT_EQ(v4_result.ecs_scope->family(), net::IpFamily::kV4);
 
-  dns::StubResolver v6_stub(&network_, client_, resolver_addr_, 5);
+  dns::StubResolver v6_stub(&env_.network, client_, env_.resolver_address, 5);
   v6_stub.set_ecs_family({.family = 2});
   const auto v6_result = v6_stub.resolve_with_own_subnet(content_name());
   ASSERT_TRUE(v6_result.ok());
@@ -115,7 +75,7 @@ TEST_F(DualStackServingFixture, Family2AnnouncementTailorsLikeFamily1) {
 }
 
 TEST_F(DualStackServingFixture, Family2AnswersAreScopeCachedPerFamily) {
-  dns::StubResolver stub(&network_, client_, resolver_addr_, 7);
+  dns::StubResolver stub(&env_.network, client_, env_.resolver_address, 7);
   stub.set_ecs_family({.family = 2});
 
   ASSERT_TRUE(stub.resolve_with_own_subnet(content_name()).ok());
@@ -129,7 +89,7 @@ TEST_F(DualStackServingFixture, Family2AnswersAreScopeCachedPerFamily) {
   // The equivalent family-1 announcement is a DIFFERENT-family subnet: the
   // v6 scope must not serve it (structural family separation), so the
   // resolver goes upstream again.
-  dns::StubResolver v4_stub(&network_, client_, resolver_addr_, 8);
+  dns::StubResolver v4_stub(&env_.network, client_, env_.resolver_address, 8);
   ASSERT_TRUE(v4_stub.resolve_with_own_subnet(content_name()).ok());
   EXPECT_GT(resolver_->upstream_queries(), after_first);
 }
@@ -137,7 +97,7 @@ TEST_F(DualStackServingFixture, Family2AnswersAreScopeCachedPerFamily) {
 TEST_F(DualStackServingFixture, CoarseFamily2AnnouncementWidensTheSubnet) {
   // /48 collapses the embedded /24 to a /16 — the answer is tailored to the
   // wider subnet, and the reply scope echoes at most what was announced.
-  dns::StubResolver stub(&network_, client_, resolver_addr_, 9);
+  dns::StubResolver stub(&env_.network, client_, env_.resolver_address, 9);
   stub.set_ecs_family({.family = 2, .v6_source_length = 48});
   const auto result = stub.resolve_with_own_subnet(content_name());
   ASSERT_TRUE(result.ok());
@@ -179,7 +139,7 @@ TEST_F(DualStackServingFixture, ForeignFamilyEcsIsServedButNeverCached) {
 
   // And it must not have poisoned the generic/scoped v4 path either: a
   // normal client resolving the same name still gets a cacheable answer.
-  dns::StubResolver stub(&network_, client_, resolver_addr_, 11);
+  dns::StubResolver stub(&env_.network, client_, env_.resolver_address, 11);
   ASSERT_TRUE(stub.resolve_with_own_subnet(content_name()).ok());
   const auto after_v4 = resolver_->upstream_queries();
   ASSERT_TRUE(stub.resolve_with_own_subnet(content_name()).ok());

@@ -10,75 +10,36 @@
 
 #include <set>
 
-#include "cdn/authoritative.hpp"
-#include "cdn/deploy.hpp"
-#include "cdn/resolver.hpp"
-#include "dns/inmemory.hpp"
+#include "cdn/serving_world.hpp"
 #include "dns/stub_resolver.hpp"
-#include "topology/as_gen.hpp"
 
 namespace drongo {
 namespace {
 
 class CachingFixture : public ::testing::Test {
  protected:
-  CachingFixture() {
-    topology::AsGenConfig as_config;
-    as_config.tier1_count = 4;
-    as_config.tier2_count = 8;
-    as_config.stub_count = 30;
-    as_config.seed = 151;
-    auto graph = topology::generate_as_graph(as_config);
-    net::Rng rng(152);
-    plan_ = cdn::plan_cdn(graph, cdn::google_like(), rng);
-    world_ = std::make_unique<topology::World>(std::move(graph));
-    provider_ = std::make_unique<cdn::CdnProvider>(cdn::deploy_cdn(*world_, plan_));
-    auth_ = std::make_unique<cdn::CdnAuthoritative>(provider_.get());
-    auth_addr_ = world_->add_host(provider_->as_index(), topology::HostKind::kServer, 0);
-    network_.register_server(auth_addr_, auth_.get());
-
-    std::size_t t1 = 0;
-    for (std::size_t v = 0; v < world_->graph().node_count(); ++v) {
-      if (world_->graph().node(v).tier == topology::AsTier::kTier1) {
-        t1 = v;
-        break;
-      }
-    }
-    resolver_addr_ = world_->add_host(t1, topology::HostKind::kServer, 0);
-    resolver_ =
-        std::make_unique<cdn::PublicResolver>(&network_, resolver_addr_, /*cache=*/true);
-    resolver_->register_zone(dns::DnsName::must_parse(provider_->profile().zone),
-                             auth_addr_);
-    network_.register_server(resolver_addr_, resolver_.get());
-
-    for (std::size_t v = 0; v < world_->graph().node_count(); ++v) {
-      if (world_->graph().node(v).tier == topology::AsTier::kStub) {
-        client_ = world_->add_host(v, topology::HostKind::kClient);
-        break;
-      }
-    }
+  CachingFixture() : env_(cdn::ServingWorld::graph(151), 152) {
+    cdn::ServingConfig serving;
+    serving.enable_cache = true;
+    resolver_ = env_.make_resolver(serving);
+    env_.network.register_server(env_.resolver_address, resolver_.get());
+    client_ = env_.add_stub_client();
   }
 
   /// A /24 in a far-away AS block, usable as an assimilation target.
   net::Prefix foreign_subnet(std::size_t as_index) const {
     return net::Prefix(
-        net::Ipv4Addr(world_->block_of(as_index).network().to_uint() | (40u << 8)), 24);
+        net::Ipv4Addr(env_.world->block_of(as_index).network().to_uint() | (40u << 8)), 24);
   }
 
-  cdn::CdnPlan plan_;
-  std::unique_ptr<topology::World> world_;
-  std::unique_ptr<cdn::CdnProvider> provider_;
-  std::unique_ptr<cdn::CdnAuthoritative> auth_;
-  dns::InMemoryDnsNetwork network_;
+  cdn::ServingWorld env_;
   std::unique_ptr<cdn::PublicResolver> resolver_;
-  net::Ipv4Addr auth_addr_;
-  net::Ipv4Addr resolver_addr_;
   net::Ipv4Addr client_;
 };
 
 TEST_F(CachingFixture, AssimilatedAnswersAreScopedNotLeaked) {
-  dns::StubResolver stub(&network_, client_, resolver_addr_, 5);
-  const auto domain = dns::DnsName::must_parse("img." + provider_->profile().zone);
+  dns::StubResolver stub(&env_.network, client_, env_.resolver_address, 5);
+  const auto domain = dns::DnsName::must_parse("img." + env_.provider->profile().zone);
   resolver_->set_time_ms(0);
 
   // Own-subnet answer first.
@@ -106,8 +67,8 @@ TEST_F(CachingFixture, AssimilatedAnswersAreScopedNotLeaked) {
 }
 
 TEST_F(CachingFixture, DistinctAssimilationTargetsGetDistinctCacheEntries) {
-  dns::StubResolver stub(&network_, client_, resolver_addr_, 6);
-  const auto domain = dns::DnsName::must_parse("img." + provider_->profile().zone);
+  dns::StubResolver stub(&env_.network, client_, env_.resolver_address, 6);
+  const auto domain = dns::DnsName::must_parse("img." + env_.provider->profile().zone);
   resolver_->set_time_ms(0);
 
   const auto a = stub.resolve(domain, foreign_subnet(3));
@@ -127,8 +88,8 @@ TEST_F(CachingFixture, DistinctAssimilationTargetsGetDistinctCacheEntries) {
 }
 
 TEST_F(CachingFixture, CachedAnswersExpireAndRefresh) {
-  dns::StubResolver stub(&network_, client_, resolver_addr_, 7);
-  const auto domain = dns::DnsName::must_parse("img." + provider_->profile().zone);
+  dns::StubResolver stub(&env_.network, client_, env_.resolver_address, 7);
+  const auto domain = dns::DnsName::must_parse("img." + env_.provider->profile().zone);
   resolver_->set_time_ms(0);
   ASSERT_TRUE(stub.resolve_with_own_subnet(domain).ok());
   const auto upstream_before = resolver_->upstream_queries();

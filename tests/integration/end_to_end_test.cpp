@@ -7,6 +7,7 @@
 #include "analysis/evaluation.hpp"
 #include "analysis/prevalence.hpp"
 #include "core/drongo.hpp"
+#include "dns/daemon_server.hpp"
 #include "dns/proxy.hpp"
 #include "dns/udp.hpp"
 #include "measure/testbed.hpp"
@@ -63,9 +64,9 @@ TEST_F(EndToEndFixture, AssimilatedQueriesBeatBaselineInAggregate) {
 }
 
 TEST_F(EndToEndFixture, FullDnsPathThroughProxyOverUdp) {
-  // The complete deployment: Drongo in an LdnsProxy, the proxy served over
-  // a REAL UDP socket, the stub resolving through it, all DNS upstream
-  // through the in-memory fabric to the CDN authoritative.
+  // The complete deployment: Drongo in an LdnsProxy, the proxy served by a
+  // DaemonServer on a REAL UDP socket, the stub resolving through it, all
+  // DNS upstream through the in-memory fabric to the CDN authoritative.
   measure::TrialRunner runner(testbed_, 94);
   core::DrongoParams params;
   params.min_valley_frequency = 0.2;
@@ -76,11 +77,15 @@ TEST_F(EndToEndFixture, FullDnsPathThroughProxyOverUdp) {
 
   dns::LdnsProxy proxy(&testbed_->dns_network(), testbed_->resolver_address(),
                        net::Ipv4Addr(127, 0, 0, 53), &drongo);
-  dns::UdpDnsServer udp_server(&proxy, 0);
+  // One listener: the proxy and its DrongoClient take one handle() at a
+  // time, and listener 0 also carries the TCP path.
+  dns::DaemonServerConfig config;
+  config.listeners = 1;
+  dns::DaemonServer server(&proxy, config);
 
   dns::UdpDnsClient udp_client(2000);
   const net::Ipv4Addr proxy_identity(198, 18, 200, 1);
-  udp_client.register_endpoint(proxy_identity, udp_server.port());
+  udp_client.register_endpoint(proxy_identity, server.udp_port());
 
   dns::StubResolver stub(&udp_client, testbed_->clients()[0], proxy_identity, 96);
   const auto result = stub.resolve_with_own_subnet(domain);
@@ -93,6 +98,8 @@ TEST_F(EndToEndFixture, FullDnsPathThroughProxyOverUdp) {
     for (auto r : cluster.replicas) replicas.insert(r);
   }
   EXPECT_TRUE(replicas.contains(result.addresses.front()));
+  server.stop();
+  EXPECT_EQ(server.served(), 1u);
 }
 
 TEST_F(EndToEndFixture, CampaignsAreReproducible) {

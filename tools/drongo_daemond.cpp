@@ -26,16 +26,11 @@
 #include <string>
 #include <thread>
 
-#include "cdn/authoritative.hpp"
-#include "cdn/deploy.hpp"
-#include "cdn/resolver.hpp"
+#include "cdn/serving_world.hpp"
 #include "dns/daemon_server.hpp"
-#include "dns/inmemory.hpp"
 #include "dns/zonefile.hpp"
 #include "net/error.hpp"
 #include "obs/metrics.hpp"
-#include "topology/as_gen.hpp"
-#include "topology/world.hpp"
 
 using namespace drongo;
 
@@ -101,54 +96,6 @@ dns::DaemonServerConfig config_from_env() {
 
 // ---- Backends --------------------------------------------------------------
 
-/// The demo serving world: same seeded topology + google_like CDN the
-/// daemon bench uses, so `drongo_daemond` with no zone file serves
-/// ECS-tailored answers out of the box.
-struct DemoWorld {
-  DemoWorld(std::size_t shards, bool coalesce) {
-    topology::AsGenConfig as_config;
-    as_config.tier1_count = 4;
-    as_config.tier2_count = 8;
-    as_config.stub_count = 30;
-    as_config.seed = 2026;
-    auto graph = topology::generate_as_graph(as_config);
-    net::Rng rng(2027);
-    const auto plan = cdn::plan_cdn(graph, cdn::google_like(), rng);
-    world = std::make_unique<topology::World>(std::move(graph));
-    provider = std::make_unique<cdn::CdnProvider>(cdn::deploy_cdn(*world, plan));
-    auth = std::make_unique<cdn::CdnAuthoritative>(provider.get());
-    const auto auth_addr =
-        world->add_host(provider->as_index(), topology::HostKind::kServer, 0);
-    network.register_server(auth_addr, auth.get());
-
-    std::size_t t1 = 0;
-    for (std::size_t v = 0; v < world->graph().node_count(); ++v) {
-      if (world->graph().node(v).tier == topology::AsTier::kTier1) {
-        t1 = v;
-        break;
-      }
-    }
-    const auto resolver_addr = world->add_host(t1, topology::HostKind::kServer, 0);
-
-    cdn::ServingConfig serving;
-    serving.enable_cache = true;
-    serving.shards = shards;
-    serving.coalesce = coalesce;
-    resolver = std::make_unique<cdn::PublicResolver>(&network, resolver_addr, serving);
-    resolver->register_zone(dns::DnsName::must_parse(provider->profile().zone),
-                            auth_addr);
-    // Frozen before any socket traffic: set_time_ms is setup-phase only and
-    // must never race concurrent handle() calls from listener threads.
-    resolver->set_time_ms(0);
-  }
-
-  std::unique_ptr<topology::World> world;
-  std::unique_ptr<cdn::CdnProvider> provider;
-  std::unique_ptr<cdn::CdnAuthoritative> auth;
-  dns::InMemoryDnsNetwork network;
-  std::unique_ptr<cdn::PublicResolver> resolver;
-};
-
 std::unique_ptr<dns::StaticZoneServer> load_zone(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -180,7 +127,10 @@ int run() {
     throw net::Error("pthread_sigmask failed");
   }
 
-  std::unique_ptr<DemoWorld> demo;
+  // The demo world is the daemon bench's: same seeds, same addresses, so
+  // `drongo_daemond` with no zone file serves ECS-tailored answers.
+  std::unique_ptr<cdn::ServingWorld> demo;
+  std::unique_ptr<cdn::PublicResolver> resolver;
   std::unique_ptr<dns::StaticZoneServer> zone_server;
   dns::DnsServer* handler = nullptr;
   if (!zonefile.empty()) {
@@ -189,8 +139,13 @@ int run() {
     std::cout << "drongo_daemond: serving zone file " << zonefile << " ("
               << zone_server->zone().records.size() << " records)\n";
   } else {
-    demo = std::make_unique<DemoWorld>(shards, coalesce);
-    handler = demo->resolver.get();
+    demo = std::make_unique<cdn::ServingWorld>(cdn::ServingWorld::graph(2026), 2027);
+    cdn::ServingConfig serving;
+    serving.enable_cache = true;
+    serving.shards = shards;
+    serving.coalesce = coalesce;
+    resolver = demo->make_resolver(serving);
+    handler = resolver.get();
     std::cout << "drongo_daemond: serving demo CDN world (zone "
               << demo->provider->profile().zone << ")\n";
   }

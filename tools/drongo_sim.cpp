@@ -21,10 +21,10 @@
 #include "core/drongo.hpp"
 #include "core/probe.hpp"
 #include "core/valley_store.hpp"
+#include "dns/daemon_server.hpp"
 #include "dns/faults.hpp"
 #include "dns/hedge.hpp"
 #include "dns/proxy.hpp"
-#include "dns/udp.hpp"
 #include "measure/campaign.hpp"
 #include "measure/dataset.hpp"
 #include "measure/trial.hpp"
@@ -471,7 +471,7 @@ int cmd_probe(const std::vector<std::string>& args) {
 int cmd_serve(const std::vector<std::string>& args) {
   tools::OptionSet options;
   add_common(options);
-  options.add_option("port", "0", "UDP port (0 = ephemeral)");
+  options.add_option("port", "0", "UDP and TCP port (0 = ephemeral, one each)");
   options.add_option("duration", "30", "seconds to serve");
   options.add_option("vf", "1.0", "minimum valley frequency");
   options.add_option("vt", "0.95", "valley threshold");
@@ -490,11 +490,20 @@ int cmd_serve(const std::vector<std::string>& args) {
   }
   dns::LdnsProxy proxy(&testbed.dns_network(), testbed.resolver_address(),
                        net::Ipv4Addr(127, 0, 0, 53), &drongo);
-  dns::UdpDnsServer server(&proxy, static_cast<std::uint16_t>(options.get_int("port")));
-  std::cout << "Drongo proxy on 127.0.0.1:" << server.port() << " for "
-            << options.get_int("duration") << "s\n";
-  std::cout << "  dig @127.0.0.1 -p " << server.port() << " img.googlecdn.sim\n";
+  // One listener: the proxy and its DrongoClient take one handle() at a
+  // time. The daemon's packet cache answers a repeat of the same query
+  // within 1 s without consulting the proxy.
+  dns::DaemonServerConfig daemon_config;
+  daemon_config.udp_port = static_cast<std::uint16_t>(options.get_int("port"));
+  daemon_config.tcp_port = daemon_config.udp_port;  // dig's TC retry goes there
+  daemon_config.listeners = 1;
+  dns::DaemonServer server(&proxy, daemon_config);
+  std::cout << "Drongo proxy on 127.0.0.1:" << server.udp_port() << " (tcp "
+            << server.tcp_port() << ") for " << options.get_int("duration") << "s\n";
+  std::cout << "  dig @127.0.0.1 -p " << server.udp_port() << " img.googlecdn.sim\n"
+            << std::flush;
   std::this_thread::sleep_for(std::chrono::seconds(options.get_int("duration")));
+  server.stop();
   std::cout << "served " << server.served() << " datagrams, " << proxy.assimilated()
             << " assimilated\n";
   return 0;
@@ -510,7 +519,8 @@ int cmd_help() {
                "  analyze   analyze a dataset file (Table 1 / Figure 6 views)\n"
                "  sweep     the (vf, vt) parameter sweep with its optimum\n"
                "  probe     unrestricted-ECS provider probe\n"
-               "  serve     run the trained Drongo LDNS proxy over UDP\n"
+               "  serve     run the trained Drongo LDNS proxy on the socket daemon\n"
+               "            (UDP, plus TCP for truncated answers)\n"
                "  help      this text\n\n"
                "common options: --seed N, --clients N, --scale planetlab|ripe,\n"
                "  --fault-profile none|lossy|flaky|ecs-hostile|chaos (DNS fault\n"
